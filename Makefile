@@ -98,6 +98,8 @@ fuzz-smoke:
 
 # Telemetry exports must be byte-identical at every parallelism: run the
 # same experiment sequentially and fully parallel and diff the traces.
+# The fig4 and table4 legs cover the net-serve kernel's closed-count and
+# rate-series arrival sources.
 trace-determinism:
 	$(GO) run ./cmd/snicbench -exp fig4 -func nat -q -j 1 \
 		-trace trace_j1.json -metrics metrics_j1.csv
@@ -106,6 +108,15 @@ trace-determinism:
 	cmp trace_j1.json trace_jN.json
 	cmp metrics_j1.csv metrics_jN.csv
 	rm -f trace_j1.json trace_jN.json metrics_j1.csv metrics_jN.csv
+	$(GO) run ./cmd/snicbench -exp table4 -q -j 1 \
+		-trace table4_trace_j1.json -metrics table4_metrics_j1.csv > table4_j1.txt
+	$(GO) run ./cmd/snicbench -exp table4 -q -j $$(nproc) \
+		-trace table4_trace_jN.json -metrics table4_metrics_jN.csv > table4_jN.txt
+	cmp table4_j1.txt table4_jN.txt
+	cmp table4_trace_j1.json table4_trace_jN.json
+	cmp table4_metrics_j1.csv table4_metrics_jN.csv
+	rm -f table4_j1.txt table4_jN.txt table4_trace_j1.json table4_trace_jN.json \
+		table4_metrics_j1.csv table4_metrics_jN.csv
 	$(GO) run ./cmd/snicbench -exp fleet -q -j 1 \
 		-manifest fleet_manifest_j1.json > fleet_j1.txt
 	$(GO) run ./cmd/snicbench -exp fleet -q -j $$(nproc) \

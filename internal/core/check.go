@@ -78,35 +78,3 @@ func registerPools(tb *Testbed, chk *invariant.Checker) {
 	chk.RegisterStation("pool/staging", tb.StagingPool.Cores(), tb.StagingPool.QueueCapacity(),
 		func() (int, int) { return tb.StagingPool.Busy(), tb.StagingPool.QueueLen() })
 }
-
-// noteInject records a request entering the run's conservation ledger.
-func (ctx *runctx) noteInject(seq uint64, bytes int) {
-	ctx.chk.Inject(seq, bytes, ctx.tb.Eng.Now())
-}
-
-// noteComplete records a request's successful completion.
-func (ctx *runctx) noteComplete(seq uint64, bytes int) {
-	ctx.chk.Complete(seq, bytes, ctx.tb.Eng.Now())
-}
-
-// noteDrop records a request shed at a full queue.
-func (ctx *runctx) noteDrop(seq uint64, bytes int) {
-	ctx.chk.Drop(seq, bytes, ctx.tb.Eng.Now())
-}
-
-// finishChecks runs the end-of-run verification: the ledger against the
-// driver's own counters, the conservation equations, and the span tree.
-// Any violation panics with the typed *invariant.Violation.
-func (r *Runner) finishChecks(ctx *runctx) {
-	if ctx.chk == nil {
-		return
-	}
-	now := ctx.tb.Eng.Now()
-	ctx.chk.VerifyCounts(uint64(ctx.sent), uint64(ctx.done), now)
-	if err := ctx.chk.Finish(now); err != nil {
-		panic(err)
-	}
-	if err := invariant.CheckSpans(ctx.rec, invariant.SpanCheckOpts{}); err != nil {
-		panic(err)
-	}
-}

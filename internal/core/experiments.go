@@ -3,10 +3,7 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/netstack"
-	"repro/internal/nic"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -243,114 +240,10 @@ func (r *Runner) replayTraceMemo(cfg *Config, plat Platform, tr *trace.Hyperscal
 	if res, ok := r.cache.lookupReplay(key); ok {
 		return res
 	}
-	res := r.replayTrace(cfg, plat, tr, seed)
+	label := fmt.Sprintf("replay %s @ %s | seed %d", cfg.Name(), plat, seed)
+	sr := r.replaySeries(cfg, plat, tr.RatesGbps, tr.Interval, seed, false, key, label)
+	res := TraceReplayResult{Platform: plat, AvgTputGbps: sr.AvgTputGbps, P99: sr.Latency.P99,
+		AvgPowerW: sr.AvgPowerW, Dropped: sr.Dropped, Sent: sr.Sent, Completed: sr.Completed}
 	r.cache.storeReplay(key, res)
-	return res
-}
-
-// replayTrace executes one trace replay on a fresh testbed.
-func (r *Runner) replayTrace(cfg *Config, plat Platform, tr *trace.HyperscalerTrace, seed uint64) TraceReplayResult {
-	r.sims.Add(1)
-	rkey := replayKey(cfg, plat, r.TBConfig, tr, seed)
-	rlabel := fmt.Sprintf("replay %s @ %s | seed %d", cfg.Name(), plat, seed)
-	seed = r.runSeed(seed)
-	tbc := r.TBConfig
-	tbc.Seed ^= seed
-	if cfg.HostCores > 0 {
-		tbc.HostCores = cfg.HostCores
-	}
-	if cfg.SNICCores > 0 {
-		tbc.SNICCores = cfg.SNICCores
-	}
-	tb := NewTestbed(tbc)
-	ctx := &runctx{
-		tb: tb, cfg: cfg, plat: plat,
-		opts:     RunOpts{Requests: 1 << 62, Seed: seed}, // trace decides the end
-		prof:     netstack.ByKind(cfg.Stack),
-		arrivals: trace.NewPoissonArrivals(seed ^ 0xabcdef),
-		jit:      sim.NewRNG(seed ^ 0x1234),
-		hist:     stats.NewHistogram(),
-		warmupN:  1, // no warmup: the whole trace is the measurement
-	}
-	ctx.sizes = trace.Fixed(cfg.ReqSize)
-	ctx.pool = tb.PoolFor(plat)
-	ctx.pool.JitterSigma = 0
-	ctx.pool.SetQueueCapacity(4096)
-	ctx.ep = netstack.NewEndpoint(tb.Eng, ctx.prof, ctx.pool, seed^0x77)
-
-	ctx.rec = r.newRecorder(rkey, rlabel)
-	ctx.chk = r.newChecker(rlabel)
-	instrumentTestbed(tb, ctx.rec, ctx.chk)
-
-	switch plat {
-	case HostCPU:
-		tb.ActivateSNICPools(0, 0)
-		tb.SetPolling(HostCPU, true)
-		tb.SetHostTrafficShare(1)
-	case SNICCPU:
-		tb.ActivateSNICPools(1, 0)
-		tb.SetPolling(SNICCPU, true)
-		tb.SetHostTrafficShare(0)
-	case SNICAccel:
-		tb.ActivateSNICPools(0, 1)
-		tb.SetPolling(SNICCPU, true)
-		tb.SetHostTrafficShare(0)
-	}
-
-	dest := nic.ToHostCPU
-	switch plat {
-	case SNICCPU:
-		dest = nic.ToSNICCPU
-	case SNICAccel:
-		dest = nic.ToAccelerator
-	}
-	tb.Sw.Program(func(*nic.Packet) nic.Destination { return dest })
-	tb.Sw.Connect(nic.ToHostCPU, ctx.cpuSink)
-	tb.Sw.Connect(nic.ToSNICCPU, ctx.cpuSink)
-	tb.Sw.Connect(nic.ToAccelerator, ctx.accelSink)
-
-	eng := tb.Eng
-	interval := tr.Interval
-	var runInterval func(i int)
-	runInterval = func(i int) {
-		if i >= len(tr.RatesGbps) {
-			ctx.lastSend = eng.Now()
-			return
-		}
-		rate := tr.RatesGbps[i]
-		end := eng.Now().Add(interval)
-		var submit func()
-		submit = func() {
-			if eng.Now() >= end {
-				runInterval(i + 1)
-				return
-			}
-			if rate > 0 {
-				ctx.sent++
-				size := ctx.sizes.Next(ctx.jit)
-				pkt := &nic.Packet{Seq: uint64(ctx.sent), Size: size, SentAt: eng.Now(),
-					Span: uint32(ctx.openRequest())}
-				ctx.noteInject(pkt.Seq, size)
-				tb.Wire.SendToServer(pkt, tb.Sw.Ingress)
-				eng.After(ctx.arrivals.Gap(size, rate*1e9), submit)
-			} else {
-				eng.At(end, submit)
-			}
-		}
-		submit()
-	}
-	eng.At(0, func() { runInterval(0) })
-	eng.Run()
-	ctx.finishEngineUtil()
-	r.finishChecks(ctx)
-	r.finishRecorder(ctx)
-
-	res := TraceReplayResult{Platform: plat, P99: ctx.hist.P99(), Dropped: ctx.pool.Dropped(),
-		Sent: uint64(ctx.sent), Completed: uint64(ctx.done)}
-	if ctx.meter != nil {
-		ctx.meter.Close(ctx.lastSend)
-		res.AvgTputGbps = ctx.meter.Gbps()
-	}
-	res.AvgPowerW = float64(tb.Power.Server.Power())
 	return res
 }

@@ -289,15 +289,12 @@ func (r *Runner) runFaultedImpl(scn FaultScenario, hr *HealthRouter, tr *trace.H
 		span      obs.SpanID
 	}
 	inflight := make(map[uint64]*flight)
-	var nextSeq uint64
 
-	rec := r.newRecorder(rkey, rlabel)
-	chk := r.newChecker(rlabel)
-	stage := func(root obs.SpanID, name string, start, end sim.Time) {
-		if root != 0 {
-			rec.Span(obs.TrackRequests, name, root, start, end)
-		}
-	}
+	// Stragglers are legal in the span check: a request abandoned at its
+	// retry timeout closes its root span while the stale in-service copy
+	// still records a child afterwards.
+	l := r.newLedger(tb, rkey, rlabel)
+	l.spanCheck = invariant.SpanCheckOpts{AllowStragglers: true}
 
 	nIntervals := len(tr.RatesGbps)
 	sentBytes := make([]float64, nIntervals)
@@ -315,7 +312,7 @@ func (r *Runner) runFaultedImpl(scn FaultScenario, hr *HealthRouter, tr *trace.H
 	histFault := stats.NewHistogram()
 	histPost := stats.NewHistogram()
 
-	var completed, dropped, retries, rescued, failedOver uint64
+	var dropped, retries, rescued, failedOver uint64
 	var hostServed, snicServed uint64
 	var lastFaultEraDone sim.Time
 
@@ -324,11 +321,11 @@ func (r *Runner) runFaultedImpl(scn FaultScenario, hr *HealthRouter, tr *trace.H
 			return
 		}
 		f.done = true
-		rec.Close(f.span, eng.Now())
+		l.closeRequest(f.span)
 		eng.Cancel(f.guard)
 		delete(inflight, f.seq)
-		completed++
-		chk.Complete(f.seq, f.size, eng.Now())
+		l.done++
+		l.complete(f.seq, f.size)
 		lat := eng.Now().Sub(f.firstSent)
 		histAll.Record(lat)
 		switch {
@@ -366,7 +363,7 @@ func (r *Runner) runFaultedImpl(scn FaultScenario, hr *HealthRouter, tr *trace.H
 			cfg.HostBaseCycles + cfg.HostPerByteCycles*float64(f.size)
 		svc := jit.LogNormalDur(hostPool.ServiceTime(cycles), cfg.HostSigma)
 		hostPool.ExecDuration(svc, func(s, e sim.Time) {
-			stage(f.span, spanService, s, e)
+			l.stage(f.span, spanService, s, e)
 			respond(f)
 		})
 	}
@@ -378,9 +375,9 @@ func (r *Runner) runFaultedImpl(scn FaultScenario, hr *HealthRouter, tr *trace.H
 		}
 		svc := jit.LogNormalDur(staging.ServiceTime(stageCycles), 0.15)
 		staging.ExecDuration(svc, func(s, e sim.Time) {
-			stage(f.span, spanStaging, s, e)
+			l.stage(f.span, spanStaging, s, e)
 			if err := tb.REM.Submit(f.size, func(es, ee sim.Time) {
-				stage(f.span, spanEngine, es, ee)
+				l.stage(f.span, spanEngine, es, ee)
 				respond(f)
 			}); err != nil {
 				// Graceful degradation: a task staged into a crashed
@@ -407,15 +404,15 @@ func (r *Runner) runFaultedImpl(scn FaultScenario, hr *HealthRouter, tr *trace.H
 	}
 	// Failover-specific gauges ride alongside the standard testbed set;
 	// both must be registered before instrumentTestbed starts the sampler.
-	rec.Gauge("failover/engine-healthy", "bool", 0, func() float64 {
+	l.rec.Gauge("failover/engine-healthy", "bool", 0, func() float64 {
 		if tb.REM.Health() == accel.Healthy {
 			return 1
 		}
 		return 0
 	})
-	rec.Gauge("failover/inflight", "reqs", 0, func() float64 { return float64(len(inflight)) })
-	rec.Gauge("failover/backlog", "tasks", 0, func() float64 { return float64(backlog()) })
-	instrumentTestbed(tb, rec, chk)
+	l.rec.Gauge("failover/inflight", "reqs", 0, func() float64 { return float64(len(inflight)) })
+	l.rec.Gauge("failover/backlog", "tasks", 0, func() float64 { return float64(backlog()) })
+	instrumentTestbed(tb, l.rec, l.chk)
 
 	tb.Sw.Program(func(*nic.Packet) nic.Destination {
 		bl := backlogView
@@ -443,9 +440,9 @@ func (r *Runner) runFaultedImpl(scn FaultScenario, hr *HealthRouter, tr *trace.H
 		if f.attempts > pol.MaxRetries {
 			dropped++
 			f.done = true
-			rec.Close(f.span, eng.Now())
+			l.closeRequest(f.span)
 			delete(inflight, f.seq)
-			chk.Drop(f.seq, f.size, eng.Now())
+			l.drop(f.seq, f.size)
 			return
 		}
 		eng.After(pol.Backoff(f.attempts), func() {
@@ -464,40 +461,16 @@ func (r *Runner) runFaultedImpl(scn FaultScenario, hr *HealthRouter, tr *trace.H
 		f.guard = eng.After(pol.Timeout, func() { onTimeout(f) })
 	}
 
-	var total uint64
-	interval := tr.Interval
 	prog := r.newProgress(nIntervals)
-	var runInterval func(i int)
-	runInterval = func(i int) {
-		if i >= nIntervals {
-			return
-		}
-		prog.step("fault " + scn.Name)
-		rate := tr.RatesGbps[i]
-		end := eng.Now().Add(interval)
-		var submit func()
-		submit = func() {
-			if eng.Now() >= end {
-				runInterval(i + 1)
-				return
-			}
-			if rate > 0 {
-				total++
-				f := &flight{seq: nextSeq, size: nicMTU, firstSent: eng.Now()}
-				f.span = rec.Open(obs.TrackRequests, spanRequest, eng.Now())
-				nextSeq++
-				inflight[f.seq] = f
-				chk.Inject(f.seq, f.size, eng.Now())
-				sentBytes[intervalOf(f.firstSent)] += float64(nicMTU)
-				send(f)
-				eng.After(arrivals.Gap(nicMTU, rate*1e9), submit)
-			} else {
-				eng.At(end, submit)
-			}
-		}
-		submit()
-	}
-	eng.At(0, func() { runInterval(0) })
+	driveRates(eng, arrivals, tr.RatesGbps, tr.Interval, func() { prog.step("fault " + scn.Name) }, func() int {
+		f := &flight{seq: uint64(l.sent), size: nicMTU, firstSent: eng.Now(), span: l.openRequest()}
+		l.sent++
+		inflight[f.seq] = f
+		l.inject(f.seq, f.size)
+		sentBytes[intervalOf(f.firstSent)] += float64(nicMTU)
+		send(f)
+		return nicMTU
+	}, nil)
 
 	// The software monitor reschedules itself indefinitely, so RunUntil
 	// the precomputed horizon rather than Run to drain.
@@ -509,8 +482,8 @@ func (r *Runner) runFaultedImpl(scn FaultScenario, hr *HealthRouter, tr *trace.H
 
 	res := FaultResult{
 		Scenario:           scn.Name,
-		Total:              total,
-		Completed:          completed,
+		Total:              uint64(l.sent),
+		Completed:          uint64(l.done),
 		Retries:            retries,
 		Rescued:            rescued,
 		FailedOver:         failedOver,
@@ -533,22 +506,10 @@ func (r *Runner) runFaultedImpl(scn FaultScenario, hr *HealthRouter, tr *trace.H
 	sort.Slice(pending, func(i, j int) bool { return pending[i] < pending[j] })
 	for _, seq := range pending {
 		dropped++
-		rec.Close(inflight[seq].span, eng.Now())
-		chk.Drop(seq, inflight[seq].size, eng.Now())
+		l.closeRequest(inflight[seq].span)
+		l.drop(seq, inflight[seq].size)
 	}
 	res.Dropped = dropped
-	if chk != nil {
-		chk.VerifyCounts(total, completed, eng.Now())
-		if err := chk.Finish(eng.Now()); err != nil {
-			panic(err)
-		}
-		// Stragglers are legal here: a request abandoned at its retry
-		// timeout closes its root span while the stale in-service copy
-		// still records a child afterwards.
-		if err := invariant.CheckSpans(rec, invariant.SpanCheckOpts{AllowStragglers: true}); err != nil {
-			panic(err)
-		}
-	}
 	if served := hostServed + snicServed; served > 0 {
 		res.HostShare = float64(hostServed) / float64(served)
 	}
@@ -581,9 +542,7 @@ func (r *Runner) runFaultedImpl(scn FaultScenario, hr *HealthRouter, tr *trace.H
 	}
 	res.AvgPowerW = float64(tb.Power.Server.Power())
 
-	if rec != nil {
-		rec.SetCount("requests.sent", float64(total))
-		rec.SetCount("requests.completed", float64(completed))
+	r.finish(&l, func(rec *obs.Recorder) {
 		rec.SetCount("requests.dropped", float64(dropped))
 		rec.SetCount("failover.retries", float64(retries))
 		rec.SetCount("failover.rescued", float64(rescued))
@@ -594,8 +553,7 @@ func (r *Runner) runFaultedImpl(scn FaultScenario, hr *HealthRouter, tr *trace.H
 		// extra series alongside the gauge-sampled power readings.
 		rec.AddSeries("power/bmc-trace", "W", tb.BMC.Period, tb.BMC.Trace.Times, tb.BMC.Trace.Values)
 		rec.AddSeries("power/yoctowatt-trace", "W", tb.YoctoWatt.Period, tb.YoctoWatt.Trace.Times, tb.YoctoWatt.Trace.Values)
-		r.Telemetry.Attach(rec)
-	}
+	})
 	return res
 }
 

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/netstack"
-	"repro/internal/nic"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -13,10 +11,10 @@ import (
 
 // This file is the fleet-facing server replay: one datacenter server
 // driven by the per-interval rate share a fleet dispatcher assigned to
-// it. It mirrors replayTrace — same testbed wiring, same open-loop
-// interval scheduler — but measures the whole trace (no warmup discard)
-// and returns the raw latency histogram so package fleet can merge
-// distributions and compute SLO attainment post-hoc at any target.
+// it. It runs the same series replay as Table 4 (replaySeries), but
+// measures the whole trace (no warmup discard) and returns the raw
+// latency histogram so package fleet can merge distributions and
+// compute SLO attainment post-hoc at any target.
 //
 // The SLO target is deliberately NOT part of the memo key: attainment is
 // a query against the histogram, so one cached replay answers every SLO.
@@ -72,111 +70,22 @@ func (r *Runner) replayServerMemo(cfg *Config, plat Platform, rates []float64, i
 	if res, ok := r.cache.lookupServer(key); ok {
 		return res
 	}
-	res := r.replayServer(cfg, plat, rates, interval, seed, key)
+	tr := &trace.HyperscalerTrace{Interval: interval, RatesGbps: rates}
+	label := fmt.Sprintf("fleet server %s @ %s | tr %s | seed %d",
+		cfg.Name(), plat, traceFingerprint(tr), seed)
+	res := r.replaySeries(cfg, plat, rates, interval, seed, true, key, label)
 	r.cache.storeServer(key, res)
 	return res
 }
 
-// replayServer executes one fleet-server replay on a fresh testbed.
-func (r *Runner) replayServer(cfg *Config, plat Platform, rates []float64, interval sim.Duration, seed uint64, key string) ServerReplay {
-	r.sims.Add(1)
-	tr := &trace.HyperscalerTrace{Interval: interval, RatesGbps: rates}
-	label := fmt.Sprintf("fleet server %s @ %s | tr %s | seed %d",
-		cfg.Name(), plat, traceFingerprint(tr), seed)
-	seed = r.runSeed(seed)
-	tbc := r.TBConfig
-	tbc.Seed ^= seed
-	if cfg.HostCores > 0 {
-		tbc.HostCores = cfg.HostCores
-	}
-	if cfg.SNICCores > 0 {
-		tbc.SNICCores = cfg.SNICCores
-	}
-	tb := NewTestbed(tbc)
-	ctx := &runctx{
-		tb: tb, cfg: cfg, plat: plat,
-		opts:     RunOpts{Requests: 1 << 62, Seed: seed}, // the rate series decides the end
-		prof:     netstack.ByKind(cfg.Stack),
-		arrivals: trace.NewPoissonArrivals(seed ^ 0xabcdef),
-		jit:      sim.NewRNG(seed ^ 0x1234),
-		hist:     stats.NewHistogram(),
-		// Every completion counts: fleet attainment must see the whole
-		// trace, so the meter opens at t=0 and warmup never triggers.
-		meter:   stats.NewMeter(0),
-		warmupN: -1,
-	}
-	ctx.sizes = trace.Fixed(cfg.ReqSize)
-	ctx.pool = tb.PoolFor(plat)
-	ctx.pool.JitterSigma = 0
-	ctx.pool.SetQueueCapacity(4096)
-	ctx.ep = netstack.NewEndpoint(tb.Eng, ctx.prof, ctx.pool, seed^0x77)
-
-	ctx.rec = r.newRecorder(key, label)
-	ctx.chk = r.newChecker(label)
-	instrumentTestbed(tb, ctx.rec, ctx.chk)
-
-	switch plat {
-	case HostCPU:
-		tb.ActivateSNICPools(0, 0)
-		tb.SetPolling(HostCPU, true)
-		tb.SetHostTrafficShare(1)
-	case SNICCPU:
-		tb.ActivateSNICPools(1, 0)
-		tb.SetPolling(SNICCPU, true)
-		tb.SetHostTrafficShare(0)
-	case SNICAccel:
-		tb.ActivateSNICPools(0, 1)
-		tb.SetPolling(SNICCPU, true)
-		tb.SetHostTrafficShare(0)
-	}
-
-	dest := nic.ToHostCPU
-	switch plat {
-	case SNICCPU:
-		dest = nic.ToSNICCPU
-	case SNICAccel:
-		dest = nic.ToAccelerator
-	}
-	tb.Sw.Program(func(*nic.Packet) nic.Destination { return dest })
-	tb.Sw.Connect(nic.ToHostCPU, ctx.cpuSink)
-	tb.Sw.Connect(nic.ToSNICCPU, ctx.cpuSink)
-	tb.Sw.Connect(nic.ToAccelerator, ctx.accelSink)
-
-	eng := tb.Eng
-	var runInterval func(i int)
-	runInterval = func(i int) {
-		if i >= len(rates) {
-			ctx.lastSend = eng.Now()
-			return
-		}
-		rate := rates[i]
-		end := eng.Now().Add(interval)
-		var submit func()
-		submit = func() {
-			if eng.Now() >= end {
-				runInterval(i + 1)
-				return
-			}
-			if rate > 0 {
-				ctx.sent++
-				size := ctx.sizes.Next(ctx.jit)
-				pkt := &nic.Packet{Seq: uint64(ctx.sent), Size: size, SentAt: eng.Now(),
-					Span: uint32(ctx.openRequest())}
-				ctx.noteInject(pkt.Seq, size)
-				tb.Wire.SendToServer(pkt, tb.Sw.Ingress)
-				eng.After(ctx.arrivals.Gap(size, rate*1e9), submit)
-			} else {
-				eng.At(end, submit)
-			}
-		}
-		submit()
-	}
-	eng.At(0, func() { runInterval(0) })
-	eng.Run()
-	ctx.finishEngineUtil()
-	r.finishChecks(ctx)
-	r.finishRecorder(ctx)
-
+// replaySeries replays a per-interval rate series through cfg on plat
+// on the net-serve kernel — the one executor behind Table 4 rows and
+// fleet servers, which project its result. wholeTrace selects the
+// fleet's meter rule (see arrivalSource).
+func (r *Runner) replaySeries(cfg *Config, plat Platform, rates []float64, interval sim.Duration,
+	seed uint64, wholeTrace bool, key, label string) ServerReplay {
+	src := arrivalSource{opts: RunOpts{Seed: seed}, rates: rates, interval: interval, wholeTrace: wholeTrace}
+	px := r.serve(PipelineFromConfig(cfg, plat), src, key, label, false)
 	var offered float64
 	for _, v := range rates {
 		offered += v
@@ -187,23 +96,17 @@ func (r *Runner) replayServer(cfg *Config, plat Platform, rates []float64, inter
 	res := ServerReplay{
 		Platform:    plat,
 		OfferedGbps: offered,
-		Dropped:     ctx.pool.Dropped(),
-		Sent:        uint64(ctx.sent),
-		Completed:   uint64(ctx.done),
-		Latency:     ctx.hist.Summarize(),
-		Hist:        ctx.hist,
+		AvgPowerW:   float64(px.tb.Power.Server.Power()),
+		Util:        px.pool.Utilization(),
+		Dropped:     px.pool.Dropped(),
+		Sent:        uint64(px.sent),
+		Completed:   uint64(px.done),
+		Latency:     px.hist.Summarize(),
+		Hist:        px.hist,
 		RunID:       obs.DeriveRunID(key),
 	}
-	ctx.meter.Close(ctx.lastSend)
-	res.AvgTputGbps = ctx.meter.Gbps()
-	switch plat {
-	case SNICAccel:
-		res.Util = tb.StagingPool.Utilization()
-	case SNICCPU:
-		res.Util = tb.SNICPool.Utilization()
-	default:
-		res.Util = tb.HostPool.Utilization()
+	if m := px.closeMeter(); m != nil {
+		res.AvgTputGbps = m.Gbps()
 	}
-	res.AvgPowerW = float64(tb.Power.Server.Power())
 	return res
 }

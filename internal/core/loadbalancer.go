@@ -122,8 +122,10 @@ func (r *Runner) runBalancedImpl(lb LoadBalancer, tr *trace.HyperscalerTrace, ho
 	eng := tb.Eng
 	jit := sim.NewRNG(seed ^ 0x1234)
 	arrivals := trace.NewPoissonArrivals(seed ^ 0xabcdef)
-	hist := stats.NewHistogram()
-	meter := stats.NewMeter(0)
+	// No telemetry or checker rides a balanced replay; the ledger keeps
+	// its books for Sims and the profiler. Every completion counts, late
+	// ones included.
+	l := &ledger{tb: tb, hist: stats.NewHistogram(), meter: stats.NewMeter(0)}
 
 	hostPool := tb.HostPool
 	hostPool.JitterSigma = 0
@@ -142,7 +144,7 @@ func (r *Runner) runBalancedImpl(lb LoadBalancer, tr *trace.HyperscalerTrace, ho
 	hostSpec := tb.HostSpec
 	snicSpec := tb.SNICSpec
 
-	var hostServed, snicServed, total uint64
+	var hostServed, snicServed uint64
 
 	// backlogView is what the balancer believes the accelerator backlog
 	// is; the software balancer refreshes it every ReactInterval.
@@ -158,8 +160,9 @@ func (r *Runner) runBalancedImpl(lb LoadBalancer, tr *trace.HyperscalerTrace, ho
 	}
 
 	record := func(sentAt sim.Time) {
-		hist.Record(eng.Now().Sub(sentAt))
-		meter.Mark(eng.Now(), nicMTU)
+		l.done++
+		l.hist.Record(eng.Now().Sub(sentAt))
+		l.meter.Mark(eng.Now(), nicMTU)
 	}
 
 	serveHost := func(pkt *nic.Packet) {
@@ -202,50 +205,28 @@ func (r *Runner) runBalancedImpl(lb LoadBalancer, tr *trace.HyperscalerTrace, ho
 
 	// Host-share of traffic for the power model's io-traffic term is
 	// finalized after the run.
-	var lastSend sim.Time
-	interval := tr.Interval
 	prog := r.newProgress(len(tr.RatesGbps))
 	balLabel := fmt.Sprintf("balanced hw=%v", lb.HWAssist)
-	var runInterval func(i int)
-	runInterval = func(i int) {
-		if i >= len(tr.RatesGbps) {
-			lastSend = eng.Now()
-			return
-		}
-		prog.step(balLabel)
-		rate := tr.RatesGbps[i]
-		end := eng.Now().Add(interval)
-		var submit func()
-		submit = func() {
-			if eng.Now() >= end {
-				runInterval(i + 1)
-				return
-			}
-			if rate > 0 {
-				total++
-				pkt := &nic.Packet{Size: nicMTU, SentAt: eng.Now()}
-				tb.Wire.SendToServer(pkt, tb.Sw.Ingress)
-				eng.After(arrivals.Gap(nicMTU, rate*1e9), submit)
-			} else {
-				eng.At(end, submit)
-			}
-		}
-		submit()
-	}
-	eng.At(0, func() { runInterval(0) })
+	driveRates(eng, arrivals, tr.RatesGbps, tr.Interval, func() { prog.step(balLabel) }, func() int {
+		l.sent++
+		tb.Wire.SendToServer(&nic.Packet{Size: nicMTU, SentAt: eng.Now()}, tb.Sw.Ingress)
+		return nicMTU
+	}, func() { l.lastSend = eng.Now() })
 	// The software monitor reschedules itself indefinitely, so run to a
 	// horizon (trace span plus a generous drain) rather than to drain.
 	horizon := sim.Time(tr.Duration()) + sim.Time(200*sim.Millisecond)
 	eng.RunUntil(horizon)
 
-	res := BalancedResult{Balancer: lb, P99: hist.P99(), Dropped: hostPool.Dropped() + staging.Dropped()}
-	if total > 0 {
-		res.HostShare = float64(hostServed) / float64(total)
+	r.finish(l, nil)
+
+	res := BalancedResult{Balancer: lb, P99: l.hist.P99(), Dropped: hostPool.Dropped() + staging.Dropped()}
+	if l.sent > 0 {
+		res.HostShare = float64(hostServed) / float64(l.sent)
 	}
 	tb.SetHostTrafficShare(res.HostShare)
 	tb.SetEngineUtil(tb.REM.Utilization())
-	meter.Close(lastSend)
-	res.AvgTputGbps = meter.Gbps()
+	l.meter.Close(l.lastSend)
+	res.AvgTputGbps = l.meter.Gbps()
 	res.AvgPowerW = float64(tb.Power.Server.Power())
 	res.SNICCPUUtil = staging.Utilization()
 	return res

@@ -3,13 +3,10 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/cpu"
 	"repro/internal/flow"
-	"repro/internal/invariant"
 	"repro/internal/nic"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -229,11 +226,11 @@ type OffloadResult struct {
 	AvgPowerW     float64
 
 	// Flow-plane accounting.
-	FlowsStarted, FlowsChurned uint64
-	Inserts, Evictions         uint64
+	FlowsStarted, FlowsChurned  uint64
+	Inserts, Evictions          uint64
 	InsertRejects, InsertAborts uint64
-	Thrash                     uint64
-	OccupancyPeak              int
+	Thrash                      uint64
+	OccupancyPeak               int
 	// ThresholdMin/Max/Final trace the policy's K over the run.
 	ThresholdMin, ThresholdMax, ThresholdFinal int
 }
@@ -275,38 +272,27 @@ func (r *Runner) runOffloadMemo(spec *OffloadSpec) OffloadResult {
 	if res, ok := r.cache.lookupOffload(key); ok {
 		return res
 	}
-	res := r.runOffload(spec)
+	res := r.runOffload(spec, key)
 	r.cache.storeOffload(key, res)
 	return res
 }
 
 // offloadctx is the per-run wiring of one offload simulation.
 type offloadctx struct {
-	tb   *Testbed
+	ledger
 	spec *OffloadSpec
 
 	tbl      *flow.Table
 	ctl      *flow.Controller
 	asn      *trace.FlowAssigner
-	pool     *cpu.Pool
 	arrivals *trace.Arrivals
 	jit      *sim.RNG
 
-	hist  *stats.Histogram
-	meter *stats.Meter
-
-	sent, done, dropped uint64
-	fast, slow          uint64
-	lastSend            sim.Time
-
-	rec *obs.Recorder
-	chk *invariant.Checker
+	dropped, fast, slow uint64
 }
 
 // runOffload executes one offload run on a fresh testbed.
-func (r *Runner) runOffload(spec *OffloadSpec) OffloadResult {
-	r.sims.Add(1)
-	key := offloadKey(spec, r.TBConfig)
+func (r *Runner) runOffload(spec *OffloadSpec, key string) OffloadResult {
 	label := fmt.Sprintf("offload %s | %s | seed %d", spec.Name, spec.Policy.Key(), spec.Seed)
 	seed := r.runSeed(spec.Seed)
 	tbc := r.TBConfig
@@ -324,21 +310,21 @@ func (r *Runner) runOffload(spec *OffloadSpec) OffloadResult {
 	mix.Seed ^= seed * 0x51ed2701
 
 	ctx := &offloadctx{
-		tb:       tb,
 		spec:     spec,
 		tbl:      flow.NewTable(eng, spec.Table),
 		asn:      mix.NewAssigner(),
 		arrivals: trace.NewPoissonArrivals(seed ^ 0xabcdef),
 		jit:      sim.NewRNG(seed ^ 0x1234),
-		hist:     stats.NewHistogram(),
 	}
 	ctx.ctl = flow.NewController(ctx.tbl, spec.Policy.build())
+	// Replay metering: the first completion opens the throughput meter,
+	// the rest are the measurement.
+	ctx.ledger = r.newLedger(tb, key, label)
+	ctx.warmupN = 1
 	ctx.pool = tb.SNICPool
 	ctx.pool.JitterSigma = 0
 	ctx.pool.SetQueueCapacity(spec.QueueCap)
 
-	ctx.rec = r.newRecorder(key, label)
-	ctx.chk = r.newChecker(label)
 	// flow/ gauges must register before instrumentTestbed starts the
 	// sampler: gauges added after StartSampler are never polled.
 	if ctx.rec != nil {
@@ -354,48 +340,26 @@ func (r *Runner) runOffload(spec *OffloadSpec) OffloadResult {
 
 	eng.Ticker(spec.ControlInterval, func() { ctx.ctl.Tick(eng.Now()) })
 
-	interval := spec.Trace.Interval
-	var runInterval func(i int)
-	runInterval = func(i int) {
-		if i >= len(spec.Trace.RatesGbps) {
-			ctx.lastSend = eng.Now()
-			return
-		}
-		rate := spec.Trace.RatesGbps[i]
-		end := eng.Now().Add(interval)
-		var submit func()
-		submit = func() {
-			if eng.Now() >= end {
-				runInterval(i + 1)
-				return
-			}
-			if rate > 0 {
-				ctx.sent++
-				flowID, _ := ctx.asn.Next()
-				pkt := &nic.Packet{Seq: ctx.sent, Size: spec.PktSize, Flow: flowID,
-					SentAt: eng.Now(), Span: uint32(ctx.open())}
-				ctx.chk.Inject(pkt.Seq, pkt.Size, eng.Now())
-				tb.Wire.SendToServer(pkt, tb.Sw.Ingress)
-				eng.After(ctx.arrivals.Gap(pkt.Size, rate*1e9), submit)
-			} else {
-				eng.At(end, submit)
-			}
-		}
-		submit()
-	}
-	eng.At(0, func() { runInterval(0) })
+	driveRates(eng, ctx.arrivals, spec.Trace.RatesGbps, spec.Trace.Interval, nil, func() int {
+		ctx.sent++
+		flowID, _ := ctx.asn.Next()
+		pkt := &nic.Packet{Seq: uint64(ctx.sent), Size: spec.PktSize, Flow: flowID,
+			SentAt: eng.Now(), Span: uint32(ctx.openRequest())}
+		ctx.inject(pkt.Seq, pkt.Size)
+		tb.Wire.SendToServer(pkt, tb.Sw.Ingress)
+		return pkt.Size
+	}, func() { ctx.lastSend = eng.Now() })
 	eng.Run()
 
-	r.finishOffloadChecks(ctx)
-	r.finishOffloadRecorder(ctx)
+	r.finish(&ctx.ledger, ctx.flowCounters)
 
 	c := ctx.tbl.Counters()
 	res := OffloadResult{
 		Name:          spec.Name,
 		Policy:        spec.Policy.Key(),
 		SLO:           spec.SLO,
-		Sent:          ctx.sent,
-		Completed:     ctx.done,
+		Sent:          uint64(ctx.sent),
+		Completed:     uint64(ctx.done),
 		Dropped:       ctx.dropped,
 		FastPath:      ctx.fast,
 		SlowPath:      ctx.slow,
@@ -414,9 +378,8 @@ func (r *Runner) runOffload(spec *OffloadSpec) OffloadResult {
 		res.SLOAttainment = float64(ctx.hist.CountAtOrBelow(spec.SLO)) / float64(ctx.sent)
 		res.DropRate = float64(ctx.dropped) / float64(ctx.sent)
 	}
-	if ctx.meter != nil {
-		ctx.meter.Close(ctx.lastSend)
-		res.AvgTputGbps = ctx.meter.Gbps()
+	if m := ctx.closeMeter(); m != nil {
+		res.AvgTputGbps = m.Gbps()
 	}
 	res.AvgPowerW = float64(tb.Power.Server.Power())
 	return res
@@ -432,14 +395,7 @@ func (ctx *offloadctx) fastSink(pkt *nic.Packet) {
 	ctx.noteTable()
 	root := obs.SpanID(pkt.Span)
 	ctx.stage(root, spanIngress, pkt.SentAt, eng.Now())
-	txAt := eng.Now()
-	resp := &nic.Packet{Seq: pkt.Seq, Size: pkt.Size, SentAt: pkt.SentAt}
-	ctx.tb.Wire.SendToClient(resp, func(p *nic.Packet) {
-		ctx.stage(root, spanReturn, txAt, eng.Now())
-		ctx.close(root)
-		ctx.chk.Complete(pkt.Seq, pkt.Size, eng.Now())
-		ctx.record(eng.Now().Sub(p.SentAt), pkt.Size)
-	})
+	ctx.respond(pkt, root)
 }
 
 // slowSink is the software slow path: an SNIC core walks the OvS
@@ -466,21 +422,27 @@ func (ctx *offloadctx) slowSink(pkt *nic.Packet) {
 			ctx.stage(root, spanQueue, arrive, s)
 		}
 		ctx.stage(root, spanService, s, e)
-		txAt := eng.Now()
-		resp := &nic.Packet{Seq: pkt.Seq, Size: pkt.Size, SentAt: pkt.SentAt}
-		ctx.tb.Wire.SendToClient(resp, func(p *nic.Packet) {
-			ctx.stage(root, spanReturn, txAt, eng.Now())
-			ctx.close(root)
-			ctx.chk.Complete(pkt.Seq, pkt.Size, eng.Now())
-			ctx.record(eng.Now().Sub(p.SentAt), pkt.Size)
-		})
+		ctx.respond(pkt, root)
 	})
 	if !ok {
 		ctx.dropped++
 		ctx.ctl.NoteDrop()
 		ctx.chk.FlowSlowDrop(pkt.Seq, eng.Now())
-		ctx.chk.Drop(pkt.Seq, pkt.Size, eng.Now())
+		ctx.drop(pkt.Seq, pkt.Size)
 	}
+}
+
+// respond returns the packet to the client and completes the request.
+func (ctx *offloadctx) respond(pkt *nic.Packet, root obs.SpanID) {
+	eng := ctx.tb.Eng
+	txAt := eng.Now()
+	resp := &nic.Packet{Seq: pkt.Seq, Size: pkt.Size, SentAt: pkt.SentAt}
+	ctx.tb.Wire.SendToClient(resp, func(p *nic.Packet) {
+		ctx.stage(root, spanReturn, txAt, eng.Now())
+		ctx.closeRequest(root)
+		ctx.complete(pkt.Seq, pkt.Size)
+		ctx.record(eng.Now().Sub(p.SentAt), pkt.Size)
+	})
 }
 
 // noteTable validates the table's bounds at the current instant.
@@ -489,70 +451,8 @@ func (ctx *offloadctx) noteTable() {
 		ctx.tbl.PendingInserts(), ctx.spec.Table.InsertQueueCap, ctx.tb.Eng.Now())
 }
 
-// record tallies one completion (replay semantics: the first completion
-// opens the throughput meter, the rest are the measurement).
-func (ctx *offloadctx) record(rtt sim.Duration, bytes int) {
-	ctx.done++
-	if ctx.done == 1 {
-		ctx.meter = stats.NewMeter(ctx.tb.Eng.Now())
-		return
-	}
-	ctx.hist.Record(rtt)
-	if ctx.lastSend > 0 && ctx.tb.Eng.Now() > ctx.lastSend {
-		return
-	}
-	ctx.meter.Mark(ctx.tb.Eng.Now(), bytes)
-}
-
-// open/stage/close are the runctx span helpers for the offload context.
-func (ctx *offloadctx) open() obs.SpanID {
-	if ctx.rec == nil {
-		return 0
-	}
-	return ctx.rec.Open(obs.TrackRequests, spanRequest, ctx.tb.Eng.Now())
-}
-
-func (ctx *offloadctx) stage(root obs.SpanID, name string, start, end sim.Time) {
-	if root == 0 {
-		return
-	}
-	ctx.rec.Span(obs.TrackRequests, name, root, start, end)
-}
-
-func (ctx *offloadctx) close(root obs.SpanID) {
-	if root == 0 {
-		return
-	}
-	ctx.rec.Close(root, ctx.tb.Eng.Now())
-}
-
-// finishOffloadChecks mirrors finishChecks for the offload context.
-func (r *Runner) finishOffloadChecks(ctx *offloadctx) {
-	if ctx.chk == nil {
-		return
-	}
-	now := ctx.tb.Eng.Now()
-	ctx.chk.VerifyCounts(ctx.sent, ctx.done, now)
-	if err := ctx.chk.Finish(now); err != nil {
-		panic(err)
-	}
-	if err := invariant.CheckSpans(ctx.rec, invariant.SpanCheckOpts{}); err != nil {
-		panic(err)
-	}
-}
-
-// finishOffloadRecorder stamps end-of-run counters — including the
-// scoped flow/ control-plane set — and attaches the recorder.
-func (r *Runner) finishOffloadRecorder(ctx *offloadctx) {
-	r.Prof.NoteEngine(ctx.tb.Eng)
-	rec := ctx.rec
-	if rec == nil {
-		return
-	}
-	rec.SetCount("requests.sent", float64(ctx.sent))
-	rec.SetCount("requests.completed", float64(ctx.done))
-	rec.SetCount("pool.shed", float64(ctx.pool.Dropped()))
-	rec.SetCount("wire.lost", float64(ctx.tb.Wire.Lost()))
+// flowCounters stamps the scoped flow/ control-plane counters.
+func (ctx *offloadctx) flowCounters(rec *obs.Recorder) {
 	c := ctx.tbl.Counters()
 	sc := rec.Metrics().Scope("flow")
 	sc.Counter("fast-path", "pkts").Set(float64(ctx.fast))
@@ -564,5 +464,4 @@ func (r *Runner) finishOffloadRecorder(ctx *offloadctx) {
 	sc.Counter("thrash", "rules").Set(float64(c.Thrash))
 	sc.Counter("flows-started", "flows").Set(float64(ctx.asn.FlowsStarted()))
 	sc.Counter("flows-churned", "flows").Set(float64(ctx.asn.FlowsChurned()))
-	r.Telemetry.Attach(rec)
 }

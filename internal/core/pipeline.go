@@ -18,10 +18,10 @@ import (
 // accelerator sheds to a general-purpose core (the xmp_sched_sim
 // CPU↔accelerator fallback structure) or lets the staging queue drop.
 //
-// A single-phase pipeline built by PipelineFromConfig reproduces the
-// legacy Runner.Run measurement bit for bit: the executor replicates
-// the legacy sinks' event and RNG-draw order exactly (see pipelinerun.go),
-// so the pipeline engine is a strict generalization, not a fork.
+// Pipelines are also the only net-serve executor: a net-served catalog
+// entry runs (point, Table 4 and fleet-server replays alike) as the
+// single-phase pipeline PipelineFromConfig builds from it (see
+// pipelinerun.go).
 
 // PhaseResource names the kind of resource a phase occupies.
 type PhaseResource string
@@ -34,7 +34,7 @@ const (
 )
 
 // PhaseSpec is one stage of a pipeline: a resource binding plus a
-// service-time model in the same shape the legacy cost model uses, so a
+// service-time model in the shape of Config's cost model, so a
 // converted config is arithmetic-identical (float operation order
 // matters for bit-reproducibility — see phaseSvc).
 type PhaseSpec struct {
@@ -78,7 +78,7 @@ type PhaseSpec struct {
 // isCPU reports whether the phase runs on a general-purpose core pool.
 func (ph *PhaseSpec) isCPU() bool { return ph.Resource != ResEngine }
 
-// platform maps the phase's resource onto the legacy Platform axis
+// platform maps the phase's resource onto the Platform axis
 // (pool selection, memory model, power accounting).
 func (ph *PhaseSpec) platform() Platform {
 	switch ph.Resource {
@@ -123,7 +123,7 @@ type PipelineSpec struct {
 	HostCores, SNICCores int
 
 	// FixedExtra is a calibrated extra one-way fixed latency added to
-	// the inbound stack delay (the legacy ExtraLatency residual).
+	// the inbound stack delay (Config's ExtraLatency residual).
 	FixedExtra sim.Duration
 
 	// KneeP99Mult is the saturation-search "reasonable p99" multiplier;
@@ -268,10 +268,11 @@ func (ps *PipelineSpec) key() string {
 	return b.String()
 }
 
-// PipelineFromConfig converts one catalog entry on one platform into
-// the equivalent single-phase pipeline. The resulting spec, executed
-// through RunPipeline, reproduces Runner.Run's measurement bit for bit
-// (the conversion keeps the cost model's float evaluation order).
+// PipelineFromConfig converts one net-served catalog entry on one
+// platform into the equivalent single-phase pipeline — the spec Run,
+// ReplayTrace and ReplayServer execute for the config. RunPipeline on
+// it measures the same numbers as Run (the conversion keeps the cost
+// model's float evaluation order); only the identity labels differ.
 func PipelineFromConfig(cfg *Config, plat Platform) *PipelineSpec {
 	if cfg.Mode != ModeNetServe {
 		panic(fmt.Sprintf("core: PipelineFromConfig needs a net-served config, %s is %q", cfg.Name(), cfg.Mode))
@@ -337,10 +338,10 @@ type FallbackPolicy interface {
 	Spill(phase *PhaseSpec, backlog, queueCap int) bool
 }
 
-// DropWhenFull is the legacy accelerator discipline: never spill; an
+// DropWhenFull is the accelerator's native discipline: never spill; an
 // overloaded staging queue sheds (drops count toward the conservation
-// ledger). A single-engine-phase pipeline under DropWhenFull is the
-// legacy SNICAccel run.
+// ledger). A single-engine-phase pipeline under DropWhenFull is a
+// config's SNICAccel run.
 type DropWhenFull struct{}
 
 // Key implements FallbackPolicy.

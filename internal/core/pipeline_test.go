@@ -3,23 +3,75 @@ package core
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
-// The tentpole contract: a single-phase pipeline converted from a
-// catalog entry reproduces the legacy Run measurement bit for bit —
-// same RNG streams, same float evaluation order, same event structure —
-// on every platform family (host CPU, SNIC CPU, accelerator engine).
+// The net-serve kernel's anchor. Point runs of net-served configs,
+// Table 4 replays and fleet-server replays all execute on the pipeline
+// kernel; the expected values below were recorded from the separate
+// executors those families had before they shared it (the point-run
+// net-serve sinks, the Table 4 replay driver and the fleet-server
+// replay driver). The kernel must reproduce them bit for bit: same RNG
+// streams, same float evaluation order, same event structure, on every
+// platform family (host CPU, SNIC CPU, accelerator engine).
 func TestSinglePhasePipelineBitIdentical(t *testing.T) {
 	cases := []struct {
 		fn, variant string
 		plat        Platform
 		gbps        float64
+		want        Measurement
 	}{
-		{"nat", "10K", HostCPU, 2},
-		{"nat", "10K", SNICCPU, 1},
-		{"rem", "file_executable", HostCPU, 3},
-		{"rem", "file_executable", SNICCPU, 1.5},
-		{"rem", "file_executable", SNICAccel, 8},
+		{fn: "nat", variant: "10K", plat: HostCPU, gbps: 2,
+			want: Measurement{
+				Function: "nat", Variant: "10K", Platform: "host-cpu", OfferedGbps: 2, Ops: 1720,
+				TputOps: 928621.908890313, TputGbps: 1.901817669407361, DeliveredFrac: 0.9509088347036805,
+				Latency:      stats.Summary{Count: 1800, Mean: 78311, P50: 75444, P99: 150888, P999: 179437, Min: 33017, Max: 229214},
+				ServerPowerW: 366.9770963882126, SNICPowerW: 29, EffOpsPerJoule: 2530.4628491254816,
+				EffBitsPerJoule: 5.182387915008986e+06, HostUtil: 0.9044865042409637, SNICUtil: 0,
+				EngineUtil: 0,
+			}},
+		{fn: "nat", variant: "10K", plat: SNICCPU, gbps: 1,
+			want: Measurement{
+				Function: "nat", Variant: "10K", Platform: "snic-cpu", OfferedGbps: 1, Ops: 629,
+				TputOps: 197652.18118137555, TputGbps: 0.4047916670594571,
+				DeliveredFrac: 0.4047916670594571,
+				Latency:       stats.Summary{Count: 1800, Mean: 3352574, P50: 3341061, P99: 5867746, P999: 5996232, Min: 651364, Max: 6006572},
+				ServerPowerW:  255.36556953949855, SNICPowerW: 32.36556953949856,
+				EffOpsPerJoule: 773.9969861160307, EffBitsPerJoule: 1.585145827565631e+06, HostUtil: 0,
+				SNICUtil: 0.9898733939701645, EngineUtil: 0,
+			}},
+		{fn: "rem", variant: "file_executable", plat: HostCPU, gbps: 3,
+			want: Measurement{
+				Function: "rem", Variant: "file_executable", Platform: "host-cpu", OfferedGbps: 3,
+				Ops: 1790, TputOps: 438088.11493865785, TputGbps: 2.8274627894318463,
+				DeliveredFrac: 0.9424875964772821,
+				Latency:       stats.Summary{Count: 1800, Mean: 3779, P50: 3715, P99: 5369, P999: 5855, Min: 2700, Max: 6243},
+				ServerPowerW:  379.6309134161197, SNICPowerW: 29, EffOpsPerJoule: 1153.9843027969175,
+				EffBitsPerJoule: 7.447925575893809e+06, HostUtil: 0.05517283803897819, SNICUtil: 0,
+				EngineUtil: 0,
+			}},
+		{fn: "rem", variant: "file_executable", plat: SNICCPU, gbps: 1.5,
+			want: Measurement{
+				Function: "rem", Variant: "file_executable", Platform: "snic-cpu", OfferedGbps: 1.5,
+				Ops: 1792, TputOps: 228805.31196046568, TputGbps: 1.443435675191452,
+				DeliveredFrac: 0.9622904501276347,
+				Latency:       stats.Summary{Count: 1800, Mean: 10811, P50: 10509, P99: 23935, P999: 29724, Min: 3142, Max: 30498},
+				ServerPowerW:  255.4, SNICPowerW: 32.4, EffOpsPerJoule: 895.8704462038594,
+				EffBitsPerJoule: 5.65166670004484e+06, HostUtil: 0, SNICUtil: 0.2481208282223953,
+				EngineUtil: 0,
+			}},
+		{fn: "rem", variant: "file_executable", plat: SNICAccel, gbps: 8,
+			want: Measurement{
+				Function: "rem", Variant: "file_executable", Platform: "snic-accel", OfferedGbps: 8,
+				Ops: 1786, TputOps: 1.2714512911708886e+06, TputGbps: 7.997357431582964,
+				DeliveredFrac: 0.9996696789478705,
+				Latency:       stats.Summary{Count: 1800, Mean: 12253, P50: 12497, P99: 17674, P999: 18456, Min: 5418, Max: 18874},
+				ServerPowerW:  253.5592658621814, SNICPowerW: 30.55926586218142,
+				EffOpsPerJoule: 5014.414625502064, EffBitsPerJoule: 3.1540387232110918e+07, HostUtil: 0,
+				SNICUtil: 0.28757762553739535, EngineUtil: 0.3546329310907083,
+			}},
 	}
 	for _, tc := range cases {
 		cfg, err := Lookup(tc.fn, tc.variant)
@@ -27,16 +79,61 @@ func TestSinglePhasePipelineBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := RunOpts{Requests: 2000, WarmupFrac: 0.1, Seed: 11, OfferedGbps: tc.gbps}
-		legacy := NewRunner().Run(cfg, tc.plat, opts)
-		ps := PipelineFromConfig(cfg, tc.plat)
-		pm := NewRunner().RunPipeline(ps, opts)
+		point := NewRunner().Run(cfg, tc.plat, opts)
+		if !reflect.DeepEqual(point, tc.want) {
+			t.Errorf("%s/%s on %s: point run diverges from the recorded result\n got:  %+v\n want: %+v",
+				tc.fn, tc.variant, tc.plat, point, tc.want)
+		}
+		// The explicit single-phase pipeline measures the same numbers;
+		// only the identity labels (pipeline name + policy key) differ.
+		pm := NewRunner().RunPipeline(PipelineFromConfig(cfg, tc.plat), opts)
 		got := pm.Point
-		// Identity labels differ by design (pipeline name + policy key);
-		// every measured number must match exactly.
-		got.Function, got.Variant = legacy.Function, legacy.Variant
-		if !reflect.DeepEqual(got, legacy) {
-			t.Errorf("%s/%s on %s: pipeline diverges from legacy run\n pipeline: %+v\n legacy:   %+v",
-				tc.fn, tc.variant, tc.plat, got, legacy)
+		got.Function, got.Variant = tc.want.Function, tc.want.Variant
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s/%s on %s: pipeline diverges from the recorded result\n got:  %+v\n want: %+v",
+				tc.fn, tc.variant, tc.plat, got, tc.want)
+		}
+	}
+
+	wantT4 := []TraceReplayResult{
+		TraceReplayResult{
+			Platform: "host-cpu", AvgTputGbps: 0.7591335925432188, P99: 5607,
+			AvgPowerW: 283.9358321070871, Dropped: 0, Sent: 38277, Completed: 38277,
+		},
+		TraceReplayResult{
+			Platform: "snic-accel", AvgTputGbps: 0.7591477893708005, P99: 15860,
+			AvgPowerW: 253.05329684259092, Dropped: 0, Sent: 38277, Completed: 38277,
+		},
+	}
+	if got := NewRunner().Table4(DefaultTable4Config()); !reflect.DeepEqual(got, wantT4) {
+		t.Errorf("Table 4 diverges from the recorded rows\n got:  %+v\n want: %+v", got, wantT4)
+	}
+
+	wantSrv := []ServerReplay{
+		ServerReplay{
+			Platform: "host-cpu", OfferedGbps: 6.4, AvgTputGbps: 6.805887062379815,
+			AvgPowerW: 382.4070158814861, Util: 0.10674551720182629, Dropped: 0, Sent: 1138,
+			Completed: 1138,
+			Latency:   stats.Summary{Count: 1138, Mean: 4350, P50: 4323, P99: 5487, P999: 5983, Min: 3398, Max: 6011},
+			RunID:     14724349292438887625,
+		},
+		ServerReplay{
+			Platform: "snic-accel", OfferedGbps: 6.4, AvgTputGbps: 6.79990123382891,
+			AvgPowerW: 253.39026820495593, Util: 0.1317994600572889, Dropped: 0, Sent: 1138,
+			Completed: 1138,
+			Latency:   stats.Summary{Count: 1138, Mean: 12715, P50: 13051, P99: 18861, P999: 19696, Min: 4945, Max: 19883},
+			RunID:     4974213028916838026,
+		},
+	}
+	cfg := TraceWorkload("rem", "file_executable")
+	for i, plat := range []Platform{HostCPU, SNICAccel} {
+		got := NewRunner().ReplayServer(cfg, plat, []float64{6, 0, 14, 9, 3}, 400*sim.Microsecond, 5, "anchor")
+		if got.Hist.Summarize() != got.Latency {
+			t.Errorf("server on %s: histogram %+v disagrees with its summary %+v", plat, got.Hist.Summarize(), got.Latency)
+		}
+		got.Hist = nil
+		if !reflect.DeepEqual(got, wantSrv[i]) {
+			t.Errorf("server on %s diverges from the recorded replay\n got:  %+v\n want: %+v", plat, got, wantSrv[i])
 		}
 	}
 }

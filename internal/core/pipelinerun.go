@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/cpu"
-	"repro/internal/invariant"
 	"repro/internal/netstack"
 	"repro/internal/nic"
 	"repro/internal/obs"
@@ -15,12 +14,16 @@ import (
 	"repro/internal/trace"
 )
 
-// Pipeline execution. The executor replays the legacy net-serve sinks'
-// event structure and RNG-draw order exactly — submit loop, inbound
-// fixed delay, service draw at sink entry, TX delay drawn at service
-// completion — so a single-phase pipeline is bit-identical to the
-// legacy run; additional phases chain where the legacy sink would have
-// sent the response.
+// Net-serve execution. One kernel serves every wire-to-server request
+// path: point measurements of net-served configs (Runner.Run in
+// ModeNetServe), Table 4 trace replays, fleet-server replays and
+// multi-phase pipelines all execute a PipelineSpec on pipectx — configs
+// through their single-phase PipelineFromConfig conversion. The event
+// structure and RNG-draw order are fixed: submit loop, inbound fixed
+// delay, service draw at sink entry, TX delay drawn at service
+// completion; additional phases chain where a single phase would have
+// sent the response. An arrivalSource feeds the run and carries the
+// setup facts in which rate-series replays differ from closed runs.
 
 // PhaseStat is one phase's request accounting in a pipeline run.
 type PhaseStat struct {
@@ -52,34 +55,44 @@ func (m PipelineMeasurement) String() string {
 		m.Pipeline, m.Policy, m.Point.TputGbps, m.Point.Latency.P99, m.Spilled, m.Dropped)
 }
 
-// pipectx is the per-run wiring of one pipeline simulation — the
-// pipeline analog of runctx.
-type pipectx struct {
-	tb   *Testbed
-	ps   *PipelineSpec
-	pol  FallbackPolicy
+// arrivalSource feeds one net-serve run: a closed request count at a
+// constant offered rate (point and pipeline runs), or a rate series
+// replayed interval by interval (Table 4 rows and fleet servers).
+// Whether it is a series decides the setup facts in which replays
+// differ from closed runs (see Runner.serve): the seed fold, always-on
+// polling, fixed request sizes, and the warmup/meter rule.
+type arrivalSource struct {
+	// opts is a closed run's operating point; a series reads only Seed.
 	opts RunOpts
+	// rates, when non-nil, is the offered load in Gb/s per interval.
+	rates    []float64
+	interval sim.Duration
+	// wholeTrace measures every completion of a series: the meter opens
+	// at t=0 and nothing is discarded as warmup (fleet attainment must
+	// see the whole trace). Otherwise the first completion opens it.
+	wholeTrace bool
+}
+
+func (s *arrivalSource) series() bool { return s.rates != nil }
+
+// pipectx is the per-run wiring of one net-serve simulation.
+type pipectx struct {
+	ledger
+	ps  *PipelineSpec
+	pol FallbackPolicy
+	src arrivalSource
 
 	prof     netstack.Profile
-	pool     *cpu.Pool // first-phase pool: where the stack terminates
 	ep       *netstack.Endpoint
 	arrivals *trace.Arrivals
 	sizes    trace.SizeDist
 	jit      *sim.RNG
 
-	hist    *stats.Histogram
-	meter   *stats.Meter
-	sent    int
-	done    int
-	warmupN int
-
-	reqBytesSent uint64
-	lastSend     sim.Time
-
-	rec *obs.Recorder
-	chk *invariant.Checker
-
 	tally []PhaseStat
+	// phaseSpans names each phase's child span, built once per run; nil
+	// for runs that export only the request stages (point and replay
+	// runs), which also skip the per-phase counters.
+	phaseSpans []string
 }
 
 // RunPipeline measures one pipeline at one operating point, memoized
@@ -92,7 +105,7 @@ func (r *Runner) RunPipeline(ps *PipelineSpec, opts RunOpts) PipelineMeasurement
 	if m, ok := r.cache.lookupPipeline(key); ok {
 		return m
 	}
-	m := r.simulatePipeline(ps, opts)
+	m := r.serve(ps, arrivalSource{opts: opts}, key, pipelineLabel(ps, opts), true).pipelineMeasurement()
 	r.cache.storePipeline(key, m)
 	return m
 }
@@ -104,14 +117,21 @@ func pipelineLabel(ps *PipelineSpec, opts RunOpts) string {
 		ps.Name, ps.policy().Key(), opts.OfferedGbps, opts.Requests, opts.Seed)
 }
 
-// simulatePipeline builds a fresh testbed and executes one pipeline run.
-// The setup mirrors Runner.simulate line for line: same seed folding,
-// same stream derivations, same pool and power wiring.
-func (r *Runner) simulatePipeline(ps *PipelineSpec, opts RunOpts) PipelineMeasurement {
-	r.sims.Add(1)
-	seed := r.runSeed(opts.Seed)
+// serve executes ps fed by src on a fresh testbed and returns the
+// finished run for its family to project. key and label identify the
+// run in telemetry and checker reports; phased adds the per-phase spans
+// and counters that pipeline runs export.
+func (r *Runner) serve(ps *PipelineSpec, src arrivalSource, key, label string, phased bool) *pipectx {
+	series := src.series()
+	seed := r.runSeed(src.opts.Seed)
 	tbc := r.TBConfig
-	tbc.Seed ^= seed * 0x9e3779b97f4a7c15
+	// Each family keeps the testbed-seed fold its published numbers
+	// were produced with.
+	if series {
+		tbc.Seed ^= seed
+	} else {
+		tbc.Seed ^= seed * 0x9e3779b97f4a7c15
+	}
 	if ps.HostCores > 0 {
 		tbc.HostCores = ps.HostCores
 	}
@@ -121,21 +141,39 @@ func (r *Runner) simulatePipeline(ps *PipelineSpec, opts RunOpts) PipelineMeasur
 	tb := NewTestbed(tbc)
 
 	px := &pipectx{
-		tb: tb, ps: ps, pol: ps.policy(), opts: opts,
+		ps: ps, pol: ps.policy(), src: src,
 		prof:     netstack.ByKind(ps.Stack),
 		arrivals: trace.NewPoissonArrivals(seed ^ 0xabcdef),
 		jit:      sim.NewRNG(seed ^ 0x1234),
-		hist:     stats.NewHistogram(),
-		warmupN:  int(float64(opts.Requests) * opts.WarmupFrac),
 		tally:    make([]PhaseStat, len(ps.Phases)),
+	}
+	px.ledger = r.newLedger(tb, key, label)
+	// Closed runs draw the spec's size mix and discard a warmup
+	// fraction; series replay fixed-size requests (trace rates are data
+	// rates) and meter per the source.
+	switch {
+	case !series:
+		px.limit = src.opts.Requests
+		px.warmupN = int(float64(src.opts.Requests) * src.opts.WarmupFrac)
+	case src.wholeTrace:
+		px.meter = stats.NewMeter(0)
+		px.warmupN = -1
+	default:
+		px.warmupN = 1
+	}
+	if ps.Mixed && !series {
+		px.sizes = trace.CTUMixed()
+	} else {
+		px.sizes = trace.Fixed(ps.ReqSize)
 	}
 	for i := range ps.Phases {
 		px.tally[i] = PhaseStat{Name: ps.Phases[i].Name, Resource: ps.Phases[i].Resource}
 	}
-	if ps.Mixed {
-		px.sizes = trace.CTUMixed()
-	} else {
-		px.sizes = trace.Fixed(ps.ReqSize)
+	if phased {
+		px.phaseSpans = make([]string, len(ps.Phases))
+		for i := range ps.Phases {
+			px.phaseSpans[i] = "phase/" + ps.Phases[i].Name
+		}
 	}
 	first := &ps.Phases[0]
 	px.pool = tb.PoolFor(first.platform())
@@ -144,7 +182,6 @@ func (r *Runner) simulatePipeline(ps *PipelineSpec, opts RunOpts) PipelineMeasur
 	// spilled work sheds instead of queueing without limit. The runner
 	// applies service jitter itself, so pool-level jitter is off on
 	// every pool a phase can touch.
-	px.pool.JitterSigma = 0
 	for i := range ps.Phases {
 		ph := &ps.Phases[i]
 		qcap := ph.QueueCap
@@ -162,18 +199,15 @@ func (r *Runner) simulatePipeline(ps *PipelineSpec, opts RunOpts) PipelineMeasur
 		}
 	}
 	px.ep = netstack.NewEndpoint(tb.Eng, px.prof, px.pool, seed^0x77)
-
-	key := pipelineKey(ps, r.TBConfig, opts)
-	px.rec = r.newRecorder(key, pipelineLabel(ps, opts))
-	px.chk = r.newChecker(pipelineLabel(ps, opts))
 	instrumentTestbed(tb, px.rec, px.chk)
 
-	// Power bookkeeping: pools in play, poll-mode pinning, and whether
-	// traffic crosses into host memory — the same switch simulate()
-	// applies, generalized over the set of bound resources.
+	// Power bookkeeping: pools in play, poll-mode pinning (serving cores
+	// always poll under a replay), and whether traffic crosses into host
+	// memory.
 	hostServes := ps.uses(ResHostCore)
 	snicServes := ps.uses(ResSNICCore)
 	engineUsed := ps.uses(ResEngine)
+	poll := series || ps.Stack == netstack.KindDPDK
 	serve, staging := 0.0, 0.0
 	if snicServes {
 		serve = 1
@@ -183,10 +217,10 @@ func (r *Runner) simulatePipeline(ps *PipelineSpec, opts RunOpts) PipelineMeasur
 	}
 	tb.ActivateSNICPools(serve, staging)
 	if hostServes {
-		tb.SetPolling(HostCPU, ps.Stack == netstack.KindDPDK)
+		tb.SetPolling(HostCPU, poll)
 	}
 	if snicServes {
-		tb.SetPolling(SNICCPU, ps.Stack == netstack.KindDPDK)
+		tb.SetPolling(SNICCPU, poll)
 	}
 	if engineUsed {
 		tb.SetPolling(SNICCPU, true) // staging cores poll DPDK / feed engines
@@ -198,9 +232,8 @@ func (r *Runner) simulatePipeline(ps *PipelineSpec, opts RunOpts) PipelineMeasur
 	}
 
 	px.run()
-	r.finishPipelineChecks(px)
-	r.finishPipelineRecorder(px)
-	return px.measurement()
+	r.finish(&px.ledger, px.phaseCounters)
+	return px
 }
 
 // poolFor maps a phase to the pool that executes it (engine phases
@@ -209,8 +242,9 @@ func (px *pipectx) poolFor(ph *PhaseSpec) *cpu.Pool {
 	return px.tb.PoolFor(ph.platform())
 }
 
-// run drives the open-loop submit cycle — identical to runNetServe with
-// the first phase's resource selecting the steering destination.
+// run steers every request to the first phase's resource and drives
+// the source: a closed submit loop at the offered rate, or the rate
+// series interval by interval.
 func (px *pipectx) run() {
 	eng := px.tb.Eng
 	dest := nic.ToHostCPU
@@ -225,117 +259,126 @@ func (px *pipectx) run() {
 	px.tb.Sw.Connect(nic.ToSNICCPU, px.sink)
 	px.tb.Sw.Connect(nic.ToAccelerator, px.sink)
 
-	var submit func()
-	submit = func() {
-		if px.sent >= px.opts.Requests {
-			return
+	if px.src.series() {
+		driveRates(eng, px.arrivals, px.src.rates, px.src.interval, nil, px.send,
+			func() { px.lastSend = eng.Now() })
+	} else {
+		var submit func()
+		submit = func() {
+			if px.sent >= px.src.opts.Requests {
+				return
+			}
+			eng.After(px.arrivals.Gap(px.send(), px.src.opts.OfferedGbps*1e9), submit)
 		}
-		px.noteSent()
-		size := px.sizes.Next(px.jit)
-		pkt := &nic.Packet{Seq: uint64(px.sent), Size: size, SentAt: eng.Now(),
-			Span: uint32(px.openRequest())}
-		px.chk.Inject(pkt.Seq, size, eng.Now())
-		px.reqBytesSent += uint64(size)
-		px.tb.Wire.SendToServer(pkt, px.tb.Sw.Ingress)
-		eng.After(px.arrivals.Gap(size, px.opts.OfferedGbps*1e9), submit)
+		eng.At(0, submit)
 	}
-	eng.At(0, submit)
 	eng.Run()
 	px.finishEngineUtil()
 }
 
-// noteSent mirrors runctx.noteSent.
-func (px *pipectx) noteSent() {
-	px.sent++
-	if px.sent == px.opts.Requests {
-		px.lastSend = px.tb.Eng.Now()
-	}
+// send issues one request onto the wire and returns its size.
+func (px *pipectx) send() int {
+	px.noteSent()
+	size := px.sizes.Next(px.jit)
+	pkt := &nic.Packet{Seq: uint64(px.sent), Size: size, SentAt: px.tb.Eng.Now(),
+		Span: uint32(px.openRequest())}
+	px.inject(pkt.Seq, size)
+	px.tb.Wire.SendToServer(pkt, px.tb.Sw.Ingress)
+	return size
 }
 
-// sink receives a request off the wire and starts phase 0.
+// sink receives a request off the wire and starts phase 0. The phase
+// walk carries the request packet itself — sequence number, wire size,
+// send time and span — so each continuation closure captures one
+// pointer instead of the unpacked fields.
 func (px *pipectx) sink(pkt *nic.Packet) {
-	root := obs.SpanID(pkt.Span)
-	px.stage(root, spanIngress, pkt.SentAt, px.tb.Eng.Now())
-	px.runPhase(0, pkt.Seq, pkt.Size, pkt.Size, pkt.SentAt, root)
+	px.stage(obs.SpanID(pkt.Span), spanIngress, pkt.SentAt, px.tb.Eng.Now())
+	px.runPhase(0, pkt.Size, pkt)
 }
 
 // runPhase dispatches phase i. size is the phase's input payload after
-// upstream transforms; wireSize the injected wire payload (ledger and
-// meter accounting).
-func (px *pipectx) runPhase(i int, seq uint64, size, wireSize int, sentAt sim.Time, root obs.SpanID) {
-	ph := &px.ps.Phases[i]
-	if ph.isCPU() {
-		px.cpuPhase(i, seq, size, wireSize, sentAt, root)
+// upstream transforms; pkt.Size stays the injected wire payload (ledger
+// and meter accounting).
+func (px *pipectx) runPhase(i, size int, pkt *nic.Packet) {
+	if px.ps.Phases[i].isCPU() {
+		px.cpuPhase(i, size, pkt)
 		return
 	}
-	px.enginePhase(i, seq, size, wireSize, sentAt, root)
+	px.enginePhase(i, size, pkt)
 }
 
 // next advances past phase i, or finishes the request.
-func (px *pipectx) next(i int, seq uint64, size, wireSize int, sentAt sim.Time, root obs.SpanID, fromEngine bool) {
+func (px *pipectx) next(i, size int, pkt *nic.Packet, fromEngine bool) {
 	if i+1 < len(px.ps.Phases) {
-		px.runPhase(i+1, seq, size, wireSize, sentAt, root)
+		px.runPhase(i+1, size, pkt)
 		return
 	}
-	px.finishReturn(seq, wireSize, sentAt, root, fromEngine)
+	px.finishReturn(pkt, fromEngine)
 }
 
-// cpuPhase serves phase i on its core pool. Phase 0 rides the inbound
-// fixed stack delay first (the legacy cpuSink structure, including the
-// service-time draw at sink entry).
-func (px *pipectx) cpuPhase(i int, seq uint64, size, wireSize int, sentAt sim.Time, root obs.SpanID) {
+// cpuPhase serves phase i on its core pool, run to completion (stack RX
+// + application + stack TX on one core). Phase 0 rides the inbound
+// fixed stack delay first; its service time is drawn at sink entry.
+func (px *pipectx) cpuPhase(i, size int, pkt *nic.Packet) {
 	eng := px.tb.Eng
 	ph := &px.ps.Phases[i]
 	pool := px.poolFor(ph)
 	svc := px.phaseSvc(i, ph, pool, size, false)
 	if i == 0 {
+		// Phase 0's input is the wire payload and its pool is
+		// recomputable, which keeps this per-request closure small.
 		inFixed := px.ep.FixedDelay() + px.ps.FixedExtra
 		rxDone := eng.Now()
 		eng.After(inFixed, func() {
-			enq := eng.Now()
-			px.stage(root, spanStackRx, rxDone, enq)
-			px.execCPU(i, ph, pool, svc, seq, size, wireSize, sentAt, root, enq, false)
+			enq := px.tb.Eng.Now()
+			px.stage(obs.SpanID(pkt.Span), spanStackRx, rxDone, enq)
+			px.execCPU(0, px.poolFor(&px.ps.Phases[0]), svc, pkt.Size, pkt, enq, false)
 		})
 		return
 	}
-	px.execCPU(i, ph, pool, svc, seq, size, wireSize, sentAt, root, eng.Now(), false)
+	px.execCPU(i, pool, svc, size, pkt, eng.Now(), false)
 }
 
 // execCPU enqueues a CPU phase's service and chains the next phase from
 // its completion. spilled marks engine work redirected here by the
 // fallback policy.
-func (px *pipectx) execCPU(i int, ph *PhaseSpec, pool *cpu.Pool, svc sim.Duration,
-	seq uint64, size, wireSize int, sentAt sim.Time, root obs.SpanID, enq sim.Time, spilled bool) {
-	px.chk.PhaseEnter(ph.Name, seq, px.tb.Eng.Now())
+func (px *pipectx) execCPU(i int, pool *cpu.Pool, svc sim.Duration, size int, pkt *nic.Packet, enq sim.Time, spilled bool) {
+	name := px.ps.Phases[i].Name
+	px.chk.PhaseEnter(name, pkt.Seq, px.tb.Eng.Now())
 	ok := pool.ExecDuration(svc, func(s, e sim.Time) {
+		root := obs.SpanID(pkt.Span)
 		if root != 0 && s > enq {
 			px.stage(root, spanQueue, enq, s)
 		}
 		px.stage(root, spanService, s, e)
-		px.stage(root, phaseSpan(ph), s, e)
-		px.chk.PhaseExit(ph.Name, seq, e)
+		px.phaseStage(root, i, s, e)
+		ph := &px.ps.Phases[i]
+		px.chk.PhaseExit(ph.Name, pkt.Seq, e)
 		if spilled {
 			px.tally[i].Spilled++
 		} else {
 			px.tally[i].Served++
 		}
-		px.next(i, seq, ph.outSize(size), wireSize, sentAt, root, false)
+		px.next(i, ph.outSize(size), pkt, false)
 	})
 	if !ok {
 		px.tally[i].Dropped++
-		px.chk.PhaseDrop(ph.Name, seq, px.tb.Eng.Now())
-		px.chk.Drop(seq, wireSize, px.tb.Eng.Now())
+		px.chk.PhaseDrop(name, pkt.Seq, px.tb.Eng.Now())
+		px.drop(pkt.Seq, pkt.Size)
 	}
 }
 
 // enginePhase routes phase i through the staging cores into its engine
-// (the legacy accelSink structure), unless the fallback policy spills
-// it to a host core first.
-func (px *pipectx) enginePhase(i int, seq uint64, size, wireSize int, sentAt sim.Time, root obs.SpanID) {
+// (the DOCA path of §2.2), unless the fallback policy spills it to a
+// host core first. The staging cost charged up front includes the
+// result pickup work (~100 cycles), so completions ride a small fixed
+// delay rather than re-entering the staging queue — a dropped RX must
+// never be able to orphan a finished engine task.
+func (px *pipectx) enginePhase(i, size int, pkt *nic.Packet) {
 	eng := px.tb.Eng
 	ph := &px.ps.Phases[i]
 	staging := px.tb.StagingPool
-	backlog := staging.QueueLen() + px.engineQueueLen(ph)*16
+	backlog := staging.QueueLen() + px.tb.engineQueueLen(ph.Engine)*16
 	qcap := ph.QueueCap
 	if qcap <= 0 {
 		qcap = 4096
@@ -345,7 +388,7 @@ func (px *pipectx) enginePhase(i int, seq uint64, size, wireSize int, sentAt sim
 		// core, then the pipeline continues as if the engine had run.
 		pool := px.tb.HostPool
 		svc := px.phaseSvc(i, ph, pool, size, true)
-		px.execCPU(i, ph, pool, svc, seq, size, wireSize, sentAt, root, eng.Now(), true)
+		px.execCPU(i, pool, svc, size, pkt, eng.Now(), true)
 		return
 	}
 	arrive := eng.Now()
@@ -358,56 +401,62 @@ func (px *pipectx) enginePhase(i int, seq uint64, size, wireSize int, sentAt sim
 	stageCycles += accel.StagingCyclesPerByte * float64(size)
 	stageCycles += 100
 	stageSvc := px.jit.LogNormalDur(sim.Cycles(stageCycles/spec.IPC, spec.BaseHz), 0.15)
-	px.chk.PhaseEnter(ph.Name, seq, eng.Now())
+	px.chk.PhaseEnter(ph.Name, pkt.Seq, eng.Now())
 	ok := staging.ExecDuration(stageSvc, func(s, e sim.Time) {
+		root := obs.SpanID(pkt.Span)
 		if root != 0 && s > arrive {
 			px.stage(root, spanQueue, arrive, s)
 		}
 		px.stage(root, spanStaging, s, e)
-		px.engineSubmit(ph, size, func(es, ee sim.Time) {
+		ph := &px.ps.Phases[i]
+		px.tb.submitEngine(ph.Engine, ph.PKAAlgo, size, func(es, ee sim.Time) {
 			px.stage(root, spanEngine, es, ee)
-			px.stage(root, phaseSpan(ph), s, ee)
-			px.chk.PhaseExit(ph.Name, seq, ee)
+			px.phaseStage(root, i, s, ee)
+			px.chk.PhaseExit(ph.Name, pkt.Seq, ee)
 			px.tally[i].Served++
-			px.next(i, seq, ph.outSize(size), wireSize, sentAt, root, true)
+			px.next(i, ph.outSize(size), pkt, true)
 		})
 	})
 	if !ok {
 		px.tally[i].Dropped++
-		px.chk.PhaseDrop(ph.Name, seq, eng.Now())
-		px.chk.Drop(seq, wireSize, eng.Now())
+		px.chk.PhaseDrop(ph.Name, pkt.Seq, eng.Now())
+		px.drop(pkt.Seq, pkt.Size)
 	}
 }
 
 // finishReturn sends the response: a small fixed engine-pickup delay
-// when the last phase was an engine, the TX-side stack delay otherwise —
-// exactly the two legacy sinks' return paths.
-func (px *pipectx) finishReturn(seq uint64, wireSize int, sentAt sim.Time, root obs.SpanID, fromEngine bool) {
-	eng := px.tb.Eng
+// when the last phase was an engine, the TX-side stack delay otherwise.
+func (px *pipectx) finishReturn(pkt *nic.Packet, fromEngine bool) {
 	var d sim.Duration
 	if fromEngine {
 		d = 200 * sim.Nanosecond
 	} else {
 		d = px.ep.FixedDelay()
 	}
-	eng.After(d, func() {
-		txAt := eng.Now()
-		resp := &nic.Packet{Seq: seq, Size: px.ps.RespSize, SentAt: sentAt}
-		px.tb.Wire.SendToClient(resp, func(p *nic.Packet) {
-			px.stage(root, spanReturn, txAt, eng.Now())
-			px.closeRequest(root)
-			px.chk.Complete(seq, wireSize, eng.Now())
-			px.record(eng.Now().Sub(p.SentAt), wireSize)
-		})
+	px.tb.Eng.After(d, func() { px.respond(pkt) })
+}
+
+// respond carries the response back over the wire and completes the
+// request.
+func (px *pipectx) respond(pkt *nic.Packet) {
+	txAt := px.tb.Eng.Now()
+	resp := &nic.Packet{Seq: pkt.Seq, Size: px.ps.RespSize, SentAt: pkt.SentAt}
+	px.tb.Wire.SendToClient(resp, func(*nic.Packet) {
+		now := px.tb.Eng.Now()
+		root := obs.SpanID(pkt.Span)
+		px.stage(root, spanReturn, txAt, now)
+		px.closeRequest(root)
+		px.complete(pkt.Seq, pkt.Size)
+		px.record(now.Sub(pkt.SentAt), pkt.Size)
 	})
 }
 
 // phaseSvc composes stack + phase cycles into a jittered service time.
-// The arithmetic evaluation order matches the legacy svcTime exactly —
-// (base + perByte·size), then ×factor, then +extra, Rx and Tx cycles
-// added first — so converted single-phase pipelines are bit-identical.
-// Phase 0 carries the RX stack cycles, the last CPU phase the TX
-// cycles; spilled engine phases run their software model on the host.
+// The evaluation order is fixed — (base + perByte·size), then ×factor,
+// then +extra, Rx and Tx cycles added first — because float operation
+// order is part of the results' bit-reproducibility. Phase 0 carries
+// the RX stack cycles, the last CPU phase the TX cycles; spilled engine
+// phases run their software model on the host.
 func (px *pipectx) phaseSvc(i int, ph *PhaseSpec, pool *cpu.Pool, size int, spilled bool) sim.Duration {
 	spec := pool.Spec
 	base, perByte := ph.BaseCycles, ph.PerByteCycles
@@ -448,56 +497,8 @@ func (px *pipectx) phaseSvc(i int, ph *PhaseSpec, pool *cpu.Pool, size int, spil
 	return px.jit.LogNormalDur(svc, sigma)
 }
 
-// engineSubmit dispatches one task to the phase's engine.
-func (px *pipectx) engineSubmit(ph *PhaseSpec, size int, done func(start, end sim.Time)) {
-	var err error
-	switch ph.Engine {
-	case EngineREM:
-		err = px.tb.REM.Submit(size, done)
-	case EngineDeflate:
-		err = px.tb.Deflate.Submit(size, done)
-	case EnginePKABulk:
-		err = px.tb.PKA.SubmitBulk(ph.PKAAlgo, size, done)
-	case EnginePKAOp:
-		err = px.tb.PKA.SubmitOp(ph.PKAAlgo, done)
-	default:
-		panic(fmt.Sprintf("core: pipeline phase %q has no engine binding", ph.Name))
-	}
-	if err != nil {
-		panic(err)
-	}
-}
-
-// engineQueueLen reads the phase's engine queue depth. Every engine now
-// exposes one — the PKA via its command-count register delta — so the
-// spill watermark sees backlog on all three fixed-function paths.
-func (px *pipectx) engineQueueLen(ph *PhaseSpec) int {
-	switch ph.Engine {
-	case EngineREM:
-		return px.tb.REM.QueueLen()
-	case EngineDeflate:
-		return px.tb.Deflate.QueueLen()
-	case EnginePKABulk, EnginePKAOp:
-		return px.tb.PKA.QueueLen()
-	default:
-		return 0
-	}
-}
-
-// engineUtilization reads the phase's engine utilization.
-func (px *pipectx) engineUtilization(ph *PhaseSpec) float64 {
-	switch ph.Engine {
-	case EngineREM:
-		return px.tb.REM.Utilization()
-	case EngineDeflate:
-		return px.tb.Deflate.Utilization()
-	default:
-		return px.tb.PKA.Utilization()
-	}
-}
-
 // finishEngineUtil snapshots the busiest bound engine into the power
-// signal (single-engine pipelines reduce to the legacy rule).
+// signal.
 func (px *pipectx) finishEngineUtil() {
 	var u float64
 	seen := false
@@ -506,7 +507,7 @@ func (px *pipectx) finishEngineUtil() {
 		if ph.Resource != ResEngine {
 			continue
 		}
-		if eu := px.engineUtilization(ph); !seen || eu > u {
+		if eu := px.tb.engineUtilization(ph.Engine); !seen || eu > u {
 			u = eu
 			seen = true
 		}
@@ -516,128 +517,41 @@ func (px *pipectx) finishEngineUtil() {
 	}
 }
 
-// record mirrors runctx.record.
-func (px *pipectx) record(rtt sim.Duration, bytes int) {
-	px.done++
-	if px.done == px.warmupN {
-		px.meter = stats.NewMeter(px.tb.Eng.Now())
-		return
-	}
-	if px.done < px.warmupN || px.meter == nil {
-		return
-	}
-	px.hist.Record(rtt)
-	if px.lastSend > 0 && px.tb.Eng.Now() > px.lastSend {
-		return
-	}
-	px.meter.Mark(px.tb.Eng.Now(), bytes)
-}
-
-// ---- telemetry + checks ----
-
-// phaseSpan names a phase's child span on the request track.
-func phaseSpan(ph *PhaseSpec) string { return "phase/" + ph.Name }
-
-func (px *pipectx) openRequest() obs.SpanID {
-	if px.rec == nil {
-		return 0
-	}
-	return px.rec.Open(obs.TrackRequests, spanRequest, px.tb.Eng.Now())
-}
-
-func (px *pipectx) stage(root obs.SpanID, name string, start, end sim.Time) {
-	if root == 0 {
-		return
-	}
-	px.rec.Span(obs.TrackRequests, name, root, start, end)
-}
-
-func (px *pipectx) closeRequest(root obs.SpanID) {
-	if root == 0 {
-		return
-	}
-	px.rec.Close(root, px.tb.Eng.Now())
-}
-
-// finishPipelineChecks verifies the conservation ledger, the per-phase
-// ledgers and the span tree at end of run.
-func (r *Runner) finishPipelineChecks(px *pipectx) {
-	if px.chk == nil {
-		return
-	}
-	now := px.tb.Eng.Now()
-	px.chk.VerifyCounts(uint64(px.sent), uint64(px.done), now)
-	if err := px.chk.Finish(now); err != nil {
-		panic(err)
-	}
-	if err := invariant.CheckSpans(px.rec, invariant.SpanCheckOpts{}); err != nil {
-		panic(err)
+// phaseStage records phase i's child span when the run exports the
+// phase layer.
+func (px *pipectx) phaseStage(root obs.SpanID, i int, start, end sim.Time) {
+	if px.phaseSpans != nil {
+		px.stage(root, px.phaseSpans[i], start, end)
 	}
 }
 
-// finishPipelineRecorder stamps end-of-run counters. Nil-safe.
-func (r *Runner) finishPipelineRecorder(px *pipectx) {
-	r.Prof.NoteEngine(px.tb.Eng)
-	rec := px.rec
-	if rec == nil {
+// phaseCounters lands the per-phase accounting in the registry, so
+// pipeline manifests show where the fallback policy routed work.
+func (px *pipectx) phaseCounters(rec *obs.Recorder) {
+	if px.phaseSpans == nil {
 		return
 	}
-	rec.SetCount("requests.sent", float64(px.sent))
-	rec.SetCount("requests.completed", float64(px.done))
-	rec.SetCount("pool.shed", float64(px.pool.Dropped()))
-	rec.SetCount("wire.lost", float64(px.tb.Wire.Lost()))
-	// Per-phase accounting lands in the registry so manifests show where
-	// the fallback policy routed work, phase by phase.
 	for i := range px.tally {
-		scope := rec.Metrics().Scope("phase/" + px.tally[i].Name)
+		scope := rec.Metrics().Scope(px.phaseSpans[i])
 		scope.Counter("served", "reqs").Set(float64(px.tally[i].Served))
 		scope.Counter("spilled", "reqs").Set(float64(px.tally[i].Spilled))
 		scope.Counter("dropped", "reqs").Set(float64(px.tally[i].Dropped))
 	}
-	r.Telemetry.Attach(rec)
 }
 
-// measurement mirrors runctx.measurement, plus per-phase accounting.
-func (px *pipectx) measurement() PipelineMeasurement {
-	m := Measurement{
-		Function:    px.ps.Name,
-		Variant:     px.pol.Key(),
-		Platform:    px.ps.Phases[0].platform(),
-		OfferedGbps: px.opts.OfferedGbps,
-		Latency:     px.hist.Summarize(),
-		HostUtil:    px.tb.HostPool.Utilization(),
-		EngineUtil:  px.tb.engineUtil,
-	}
-	if px.ps.uses(ResEngine) {
-		m.SNICUtil = px.tb.StagingPool.Utilization()
-	} else {
-		m.SNICUtil = px.tb.SNICPool.Utilization()
-	}
-	if px.meter != nil {
-		closeAt := px.tb.Eng.Now()
-		if px.lastSend > 0 && px.lastSend < closeAt {
-			closeAt = px.lastSend
-		}
-		px.meter.Close(closeAt)
-		m.Ops = px.meter.Ops()
-		m.TputOps = px.meter.OpsPerSec()
-		m.TputGbps = px.meter.Gbps()
-	}
-	if px.opts.OfferedGbps > 0 {
-		m.DeliveredFrac = m.TputGbps / px.opts.OfferedGbps
-	} else {
-		m.DeliveredFrac = 1
-	}
-	m.ServerPowerW = float64(px.tb.Power.Server.Power())
-	m.SNICPowerW = float64(px.tb.Power.SNIC.Power())
-	if m.ServerPowerW > 0 {
-		m.EffOpsPerJoule = m.TputOps / m.ServerPowerW
-		m.EffBitsPerJoule = m.TputGbps * 1e9 / m.ServerPowerW
-	}
+// point is the run's standard operating-point result under the given
+// identity labels.
+func (px *pipectx) point(fn, variant string) Measurement {
+	return px.measurement(fn, variant, px.ps.Phases[0].platform(), px.src.opts.OfferedGbps, px.ps.uses(ResEngine))
+}
+
+// pipelineMeasurement is the pipeline family's projection: the point
+// labeled by pipeline and policy, plus per-phase accounting.
+func (px *pipectx) pipelineMeasurement() PipelineMeasurement {
 	pm := PipelineMeasurement{
 		Pipeline: px.ps.Name,
 		Policy:   px.pol.Key(),
-		Point:    m,
+		Point:    px.point(px.ps.Name, px.pol.Key()),
 		Phases:   px.tally,
 	}
 	for i := range px.tally {
@@ -762,7 +676,7 @@ func (r *Runner) estimatePipelineGbps(ps *PipelineSpec) float64 {
 		ph := &ps.Phases[i]
 		var gbps float64
 		if ph.Resource == ResEngine {
-			engineBits := r.pipelineEngineRateBits(tb, ph)
+			engineBits := tb.engineRateBits(ph.Engine, ph.PKAAlgo, 64<<10)
 			spec := tb.SNICSpec
 			stageCycles := accel.StagingCyclesPerTask + accel.StagingCyclesPerByte*float64(size) + 100
 			if i == 0 {
@@ -799,20 +713,4 @@ func (r *Runner) estimatePipelineGbps(ps *PipelineSpec) float64 {
 		size = ph.outSize(size)
 	}
 	return best
-}
-
-// pipelineEngineRateBits mirrors engineRateBits for a phase binding.
-func (r *Runner) pipelineEngineRateBits(tb *Testbed, ph *PhaseSpec) float64 {
-	switch ph.Engine {
-	case EngineREM:
-		return tb.REM.RateBits * 0.75
-	case EngineDeflate:
-		return tb.Deflate.RateBits * 0.9
-	case EnginePKABulk:
-		return tb.PKA.BulkRateBits[ph.PKAAlgo] * 0.95
-	case EnginePKAOp:
-		return tb.PKA.OpRate[ph.PKAAlgo] * float64(64<<10) * 8
-	default:
-		return 30e9
-	}
 }

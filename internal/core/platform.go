@@ -253,3 +253,72 @@ func (tb *Testbed) StartSensors(until sim.Time) {
 	tb.BMC.Start(until)
 	tb.YoctoWatt.Start(until)
 }
+
+// submitEngine dispatches one task of size bytes to the bound engine;
+// done receives the engine-side service window. No fault plan runs
+// through the callers, so a rejection can only be a wiring bug.
+func (tb *Testbed) submitEngine(kind EngineKind, algo accel.PKAAlgo, size int, done func(start, end sim.Time)) {
+	var err error
+	switch kind {
+	case EngineREM:
+		err = tb.REM.Submit(size, done)
+	case EngineDeflate:
+		err = tb.Deflate.Submit(size, done)
+	case EnginePKABulk:
+		err = tb.PKA.SubmitBulk(algo, size, done)
+	case EnginePKAOp:
+		err = tb.PKA.SubmitOp(algo, done)
+	default:
+		panic(fmt.Sprintf("core: no engine bound (%q)", kind))
+	}
+	if err != nil {
+		panic(err)
+	}
+}
+
+// engineQueueLen reads an engine's queue depth. Every engine exposes
+// one — the PKA via its command-count register delta — so a spill
+// watermark sees backlog on all three fixed-function paths.
+func (tb *Testbed) engineQueueLen(kind EngineKind) int {
+	switch kind {
+	case EngineREM:
+		return tb.REM.QueueLen()
+	case EngineDeflate:
+		return tb.Deflate.QueueLen()
+	case EnginePKABulk, EnginePKAOp:
+		return tb.PKA.QueueLen()
+	default:
+		return 0
+	}
+}
+
+// engineUtilization reads an engine's run-average utilization.
+func (tb *Testbed) engineUtilization(kind EngineKind) float64 {
+	switch kind {
+	case EngineREM:
+		return tb.REM.Utilization()
+	case EngineDeflate:
+		return tb.Deflate.Utilization()
+	case EnginePKABulk, EnginePKAOp:
+		return tb.PKA.Utilization()
+	default:
+		return 0
+	}
+}
+
+// engineRateBits returns an engine's capacity with a batching margin;
+// opBytes sizes one PKA operation.
+func (tb *Testbed) engineRateBits(kind EngineKind, algo accel.PKAAlgo, opBytes int) float64 {
+	switch kind {
+	case EngineREM:
+		return tb.REM.RateBits * 0.75
+	case EngineDeflate:
+		return tb.Deflate.RateBits * 0.9
+	case EnginePKABulk:
+		return tb.PKA.BulkRateBits[algo] * 0.95
+	case EnginePKAOp:
+		return tb.PKA.OpRate[algo] * float64(opBytes) * 8
+	default:
+		return 30e9
+	}
+}

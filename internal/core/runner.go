@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/accel"
-	"repro/internal/cpu"
-	"repro/internal/invariant"
 	"repro/internal/netstack"
 	"repro/internal/nic"
 	"repro/internal/obs"
@@ -120,45 +118,19 @@ func (r *Runner) Sims() uint64 { return r.sims.Load() }
 // CacheStats reports memo-cache hits and misses.
 func (r *Runner) CacheStats() (hits, misses uint64) { return r.cache.stats() }
 
-// runctx is the per-run wiring.
+// runctx is the per-run wiring of the closed-loop local, storage and
+// switched modes; net-served configs run on the pipeline kernel
+// (pipectx).
 type runctx struct {
-	tb   *Testbed
+	ledger
 	cfg  *Config
 	plat Platform
 	opts RunOpts
 
 	prof     netstack.Profile
-	pool     *cpu.Pool
 	ep       *netstack.Endpoint
 	arrivals *trace.Arrivals
-	sizes    trace.SizeDist
 	jit      *sim.RNG
-
-	hist    *stats.Histogram
-	meter   *stats.Meter
-	sent    int
-	done    int
-	warmupN int
-
-	reqBytesSent uint64
-	// lastSend closes the measurement window: counting completions that
-	// straggle in during the post-send drain would understate overload
-	// (the drain stretches the window) and hide saturation.
-	lastSend sim.Time
-
-	// rec is the run's telemetry recorder; nil when telemetry is off.
-	rec *obs.Recorder
-	// chk is the run's invariant checker; nil when checks are off.
-	chk *invariant.Checker
-}
-
-// noteSent records a request issue; at the final request it arranges the
-// meter to close, truncating the window at the end of offered load.
-func (ctx *runctx) noteSent() {
-	ctx.sent++
-	if ctx.sent == ctx.opts.Requests {
-		ctx.lastSend = ctx.tb.Eng.Now()
-	}
 }
 
 // Run returns the measurement of cfg on platform at the given operating
@@ -186,7 +158,13 @@ func (r *Runner) runPoint(cfg *Config, plat Platform, opts RunOpts) Measurement 
 	if m, ok := r.cache.lookupRun(key); ok {
 		return m
 	}
-	m := r.simulate(cfg, plat, opts)
+	var m Measurement
+	if cfg.Mode == ModeNetServe {
+		px := r.serve(PipelineFromConfig(cfg, plat), arrivalSource{opts: opts}, key, runLabel(cfg, plat, opts), false)
+		m = px.point(cfg.Function, cfg.Variant)
+	} else {
+		m = r.simulate(cfg, plat, opts, key)
+	}
 	r.cache.storeRun(key, m)
 	return m
 }
@@ -199,9 +177,9 @@ func (r *Runner) runSeed(seed uint64) uint64 {
 	return seed ^ (r.TBConfig.Seed^defaultMasterSeed)*0x9e3779b97f4a7c15
 }
 
-// simulate builds a fresh testbed and executes one run.
-func (r *Runner) simulate(cfg *Config, plat Platform, opts RunOpts) Measurement {
-	r.sims.Add(1)
+// simulate builds a fresh testbed and executes one local, storage or
+// switched run.
+func (r *Runner) simulate(cfg *Config, plat Platform, opts RunOpts, key string) Measurement {
 	seed := r.runSeed(opts.Seed)
 	tbc := r.TBConfig
 	tbc.Seed ^= seed * 0x9e3779b97f4a7c15
@@ -214,42 +192,33 @@ func (r *Runner) simulate(cfg *Config, plat Platform, opts RunOpts) Measurement 
 	tb := NewTestbed(tbc)
 
 	ctx := &runctx{
-		tb: tb, cfg: cfg, plat: plat, opts: opts,
+		cfg: cfg, plat: plat, opts: opts,
 		prof:     netstack.ByKind(cfg.Stack),
 		arrivals: trace.NewPoissonArrivals(seed ^ 0xabcdef),
 		jit:      sim.NewRNG(seed ^ 0x1234),
-		hist:     stats.NewHistogram(),
-		warmupN:  int(float64(opts.Requests) * opts.WarmupFrac),
 	}
-	if cfg.Mixed {
-		ctx.sizes = trace.CTUMixed()
-	} else {
-		ctx.sizes = trace.Fixed(cfg.ReqSize)
-	}
+	ctx.ledger = r.newLedger(tb, key, runLabel(cfg, plat, opts))
+	ctx.warmupN = int(float64(opts.Requests) * opts.WarmupFrac)
+	ctx.limit = opts.Requests
 	ctx.pool = tb.PoolFor(plat)
 	ctx.pool.JitterSigma = 0 // the runner applies jitter itself
 	ctx.pool.SetQueueCapacity(4096)
 	ctx.ep = netstack.NewEndpoint(tb.Eng, ctx.prof, ctx.pool, seed^0x77)
-
-	ctx.rec = r.newRecorder(runKey(cfg, plat, r.TBConfig, opts), runLabel(cfg, plat, opts))
-	ctx.chk = r.newChecker(runLabel(cfg, plat, opts))
 	instrumentTestbed(tb, ctx.rec, ctx.chk)
 
 	// Power bookkeeping: which pools are live, poll-mode pinning, and
-	// whether traffic crosses into host memory.
+	// whether traffic crosses into host memory. Switched (OvS) runs never
+	// pin cores in poll mode: the eSwitch forwards in hardware, though on
+	// the host the megaflow/upcall path still DMAs into host memory.
+	poll := cfg.Stack == netstack.KindDPDK && cfg.Mode != ModeSwitched
 	switch plat {
 	case HostCPU:
 		tb.ActivateSNICPools(0, 0)
-		tb.SetPolling(HostCPU, cfg.Stack == netstack.KindDPDK && cfg.Mode != ModeSwitched)
+		tb.SetPolling(HostCPU, poll)
 		tb.SetHostTrafficShare(1)
-		if cfg.Mode == ModeSwitched {
-			// OvS host case: the eSwitch forwards in hardware but the
-			// megaflow/upcall path still DMAs samples into host memory.
-			tb.SetHostTrafficShare(1)
-		}
 	case SNICCPU:
 		tb.ActivateSNICPools(1, 0)
-		tb.SetPolling(SNICCPU, cfg.Stack == netstack.KindDPDK && cfg.Mode != ModeSwitched)
+		tb.SetPolling(SNICCPU, poll)
 		tb.SetHostTrafficShare(0)
 	case SNICAccel:
 		tb.ActivateSNICPools(0, 1)
@@ -258,8 +227,6 @@ func (r *Runner) simulate(cfg *Config, plat Platform, opts RunOpts) Measurement 
 	}
 
 	switch cfg.Mode {
-	case ModeNetServe:
-		ctx.runNetServe()
 	case ModeLocal:
 		ctx.runLocal()
 	case ModeStorage:
@@ -269,9 +236,8 @@ func (r *Runner) simulate(cfg *Config, plat Platform, opts RunOpts) Measurement 
 	default:
 		panic(fmt.Sprintf("core: unknown mode %q", cfg.Mode))
 	}
-	r.finishChecks(ctx)
-	r.finishRecorder(ctx)
-	return ctx.measurement()
+	r.finish(&ctx.ledger, nil)
+	return ctx.measurement(cfg.Function, cfg.Variant, plat, opts.OfferedGbps, plat == SNICAccel)
 }
 
 // appCycles returns the application cycle cost for a request of size
@@ -289,203 +255,12 @@ func (ctx *runctx) appCycles(size int) float64 {
 	return c
 }
 
-// svcTime composes stack + application cycles into a jittered service
-// time with the platform's memory penalty applied.
-func (ctx *runctx) svcTime(reqSize, respSize int) sim.Duration {
-	spec := ctx.tb.SpecFor(ctx.plat)
-	cycles := ctx.prof.RxCycles(spec.Arch, reqSize) +
-		ctx.prof.TxCycles(spec.Arch, respSize) +
-		ctx.appCycles(reqSize)
-	base := sim.Cycles(cycles/spec.IPC, spec.BaseHz)
-	ws := ctx.cfg.WorkingSetHost
-	if ctx.plat != HostCPU {
-		ws = ctx.cfg.WorkingSetSNIC
-	}
-	pen := ctx.tb.MemFor(ctx.plat).Penalty(ctx.cfg.MemIntensity, ws, ctx.tb.SpecFor(ctx.plat).L3Bytes)
-	base = sim.Duration(float64(base) * pen)
-	sigma := ctx.cfg.HostSigma
-	if ctx.plat != HostCPU {
-		sigma = ctx.cfg.SNICSigma
-	}
-	if sigma == 0 {
-		sigma = 0.20
-	}
-	return ctx.jit.LogNormalDur(base, sigma)
-}
-
 // extraLatency returns the per-platform calibrated fixed residual.
 func (ctx *runctx) extraLatency() sim.Duration {
 	if ctx.cfg.ExtraLatency == nil {
 		return 0
 	}
 	return ctx.cfg.ExtraLatency[ctx.plat]
-}
-
-// record tallies one completed operation.
-func (ctx *runctx) record(rtt sim.Duration, bytes int) {
-	ctx.done++
-	if ctx.done == ctx.warmupN {
-		ctx.meter = stats.NewMeter(ctx.tb.Eng.Now())
-		return
-	}
-	if ctx.done < ctx.warmupN || ctx.meter == nil {
-		return
-	}
-	ctx.hist.Record(rtt)
-	// Completions that straggle in after the offered load ended are
-	// drain artifacts: they belong in the latency distribution but not
-	// in the throughput window.
-	if ctx.lastSend > 0 && ctx.tb.Eng.Now() > ctx.lastSend {
-		return
-	}
-	ctx.meter.Mark(ctx.tb.Eng.Now(), bytes)
-}
-
-// ---- ModeNetServe ----
-
-func (ctx *runctx) runNetServe() {
-	eng := ctx.tb.Eng
-	dest := nic.ToHostCPU
-	switch ctx.plat {
-	case SNICCPU:
-		dest = nic.ToSNICCPU
-	case SNICAccel:
-		dest = nic.ToAccelerator
-	}
-	ctx.tb.Sw.Program(func(*nic.Packet) nic.Destination { return dest })
-
-	ctx.tb.Sw.Connect(nic.ToHostCPU, ctx.cpuSink)
-	ctx.tb.Sw.Connect(nic.ToSNICCPU, ctx.cpuSink)
-	ctx.tb.Sw.Connect(nic.ToAccelerator, ctx.accelSink)
-
-	var submit func()
-	submit = func() {
-		if ctx.sent >= ctx.opts.Requests {
-			return
-		}
-		ctx.noteSent()
-		size := ctx.sizes.Next(ctx.jit)
-		pkt := &nic.Packet{Seq: uint64(ctx.sent), Size: size, SentAt: eng.Now(),
-			Span: uint32(ctx.openRequest())}
-		ctx.noteInject(pkt.Seq, size)
-		ctx.reqBytesSent += uint64(size)
-		ctx.tb.Wire.SendToServer(pkt, ctx.tb.Sw.Ingress)
-		eng.After(ctx.arrivals.Gap(size, ctx.opts.OfferedGbps*1e9), submit)
-	}
-	eng.At(0, submit)
-	eng.Run()
-	ctx.finishEngineUtil()
-}
-
-// cpuSink serves a packet on the platform's core pool (run to
-// completion: stack RX + application + stack TX on one core).
-func (ctx *runctx) cpuSink(pkt *nic.Packet) {
-	eng := ctx.tb.Eng
-	root := obs.SpanID(pkt.Span)
-	ctx.stage(root, spanIngress, pkt.SentAt, eng.Now())
-	respSize := ctx.cfg.RespSize
-	svc := ctx.svcTime(pkt.Size, respSize)
-	inFixed := ctx.ep.FixedDelay() + ctx.extraLatency()
-	rxDone := eng.Now()
-	eng.After(inFixed, func() {
-		enq := eng.Now()
-		ctx.stage(root, spanStackRx, rxDone, enq)
-		ok := ctx.pool.ExecDuration(svc, func(s, e sim.Time) {
-			if root != 0 && s > enq {
-				ctx.stage(root, spanQueue, enq, s)
-			}
-			ctx.stage(root, spanService, s, e)
-			eng.After(ctx.ep.FixedDelay(), func() {
-				txAt := eng.Now()
-				resp := &nic.Packet{Seq: pkt.Seq, Size: respSize, SentAt: pkt.SentAt}
-				ctx.tb.Wire.SendToClient(resp, func(p *nic.Packet) {
-					ctx.stage(root, spanReturn, txAt, eng.Now())
-					ctx.closeRequest(root)
-					ctx.noteComplete(pkt.Seq, pkt.Size)
-					ctx.record(eng.Now().Sub(p.SentAt), pkt.Size)
-				})
-			})
-		})
-		if !ok {
-			ctx.noteDrop(pkt.Seq, pkt.Size)
-		}
-	})
-}
-
-// accelSink routes a packet through the staging cores into the bound
-// engine (the DOCA path of §2.2). The staging cost charged up front
-// includes the result pickup work (~100 cycles), so completions ride a
-// small fixed delay rather than re-entering the staging queue — a
-// dropped RX must never be able to orphan a finished engine task.
-func (ctx *runctx) accelSink(pkt *nic.Packet) {
-	eng := ctx.tb.Eng
-	root := obs.SpanID(pkt.Span)
-	ctx.stage(root, spanIngress, pkt.SentAt, eng.Now())
-	arrive := eng.Now()
-	spec := ctx.tb.SNICSpec
-	stageCycles := (ctx.prof.RxCycles(spec.Arch, pkt.Size) +
-		accel.StagingCyclesPerTask + accel.StagingCyclesPerByte*float64(pkt.Size) + 100)
-	stageSvc := ctx.jit.LogNormalDur(sim.Cycles(stageCycles/spec.IPC, spec.BaseHz), 0.15)
-	ok := ctx.pool.ExecDuration(stageSvc, func(s, e sim.Time) {
-		if root != 0 && s > arrive {
-			ctx.stage(root, spanQueue, arrive, s)
-		}
-		ctx.stage(root, spanStaging, s, e)
-		ctx.engineSubmit(pkt.Size, func(es, ee sim.Time) {
-			ctx.stage(root, spanEngine, es, ee)
-			eng.After(200*sim.Nanosecond, func() {
-				txAt := eng.Now()
-				resp := &nic.Packet{Seq: pkt.Seq, Size: ctx.cfg.RespSize, SentAt: pkt.SentAt}
-				ctx.tb.Wire.SendToClient(resp, func(p *nic.Packet) {
-					ctx.stage(root, spanReturn, txAt, eng.Now())
-					ctx.closeRequest(root)
-					ctx.noteComplete(pkt.Seq, pkt.Size)
-					ctx.record(eng.Now().Sub(p.SentAt), pkt.Size)
-				})
-			})
-		})
-	})
-	if !ok {
-		ctx.noteDrop(pkt.Seq, pkt.Size)
-	}
-}
-
-// engineSubmit dispatches one task to the config's engine; done receives
-// the engine-side service window. No fault plan runs through this path,
-// so a rejection can only be a wiring bug.
-func (ctx *runctx) engineSubmit(size int, done func(start, end sim.Time)) {
-	var err error
-	switch ctx.cfg.Engine {
-	case EngineREM:
-		err = ctx.tb.REM.Submit(size, done)
-	case EngineDeflate:
-		err = ctx.tb.Deflate.Submit(size, done)
-	case EnginePKABulk:
-		err = ctx.tb.PKA.SubmitBulk(ctx.cfg.PKAAlgo, size, done)
-	case EnginePKAOp:
-		err = ctx.tb.PKA.SubmitOp(ctx.cfg.PKAAlgo, done)
-	default:
-		panic(fmt.Sprintf("core: %s has no engine binding", ctx.cfg.Name()))
-	}
-	if err != nil {
-		panic(err)
-	}
-}
-
-// finishEngineUtil snapshots engine utilization into the power signal.
-func (ctx *runctx) finishEngineUtil() {
-	var u float64
-	switch ctx.cfg.Engine {
-	case EngineREM:
-		u = ctx.tb.REM.Utilization()
-	case EngineDeflate:
-		u = ctx.tb.Deflate.Utilization()
-	case EnginePKABulk, EnginePKAOp:
-		u = ctx.tb.PKA.Utilization()
-	}
-	if ctx.plat == SNICAccel {
-		ctx.tb.SetEngineUtil(u)
-	}
 }
 
 // ---- ModeLocal (crypto, compression) ----
@@ -502,10 +277,10 @@ func (ctx *runctx) runLocal() {
 		seq := uint64(ctx.sent)
 		start := eng.Now()
 		root := ctx.openRequest()
-		ctx.noteInject(seq, size)
+		ctx.inject(seq, size)
 		finish := func() {
 			ctx.closeRequest(root)
-			ctx.noteComplete(seq, size)
+			ctx.complete(seq, size)
 			ctx.record(eng.Now().Sub(start), size)
 			worker()
 		}
@@ -515,7 +290,7 @@ func (ctx *runctx) runLocal() {
 				ctx.stage(root, spanService, s, e)
 				finish()
 			}) {
-				ctx.noteDrop(seq, size)
+				ctx.drop(seq, size)
 			}
 		case SNICAccel:
 			// One staging core programs the engine's command registers.
@@ -523,12 +298,12 @@ func (ctx *runctx) runLocal() {
 			prep := sim.Cycles(400/spec.IPC, spec.BaseHz)
 			if !ctx.pool.ExecDuration(prep, func(s, e sim.Time) {
 				ctx.stage(root, spanStaging, s, e)
-				ctx.engineSubmit(size, func(es, ee sim.Time) {
+				ctx.tb.submitEngine(ctx.cfg.Engine, ctx.cfg.PKAAlgo, size, func(es, ee sim.Time) {
 					ctx.stage(root, spanEngine, es, ee)
 					finish()
 				})
 			}) {
-				ctx.noteDrop(seq, size)
+				ctx.drop(seq, size)
 			}
 		}
 	}
@@ -536,7 +311,9 @@ func (ctx *runctx) runLocal() {
 		eng.At(0, worker)
 	}
 	eng.Run()
-	ctx.finishEngineUtil()
+	if ctx.plat == SNICAccel {
+		ctx.tb.SetEngineUtil(ctx.tb.engineUtilization(ctx.cfg.Engine))
+	}
 }
 
 // closedDepth returns the closed-loop depth for the current platform.
@@ -613,10 +390,10 @@ func (ctx *runctx) runStorage() {
 							comp := sim.Cycles(600/spec.IPC, spec.BaseHz)
 							if !ctx.pool.ExecDuration(comp, func(_, _ sim.Time) {
 								ctx.closeRequest(root)
-								ctx.noteComplete(seq, block)
+								ctx.complete(seq, block)
 								ctx.record(eng.Now().Sub(p.SentAt), block)
 							}) {
-								ctx.noteDrop(seq, block)
+								ctx.drop(seq, block)
 							}
 						})
 					})
@@ -624,7 +401,7 @@ func (ctx *runctx) runStorage() {
 			})
 		})
 		if !ok {
-			ctx.noteDrop(seq, block)
+			ctx.drop(seq, block)
 		}
 	}
 	var issue func()
@@ -634,7 +411,7 @@ func (ctx *runctx) runStorage() {
 		}
 		ctx.noteSent()
 		seq := uint64(ctx.sent)
-		ctx.noteInject(seq, block)
+		ctx.inject(seq, block)
 		serveIO(eng.Now(), ctx.openRequest(), seq)
 		eng.After(ctx.arrivals.Gap(block, ctx.opts.OfferedGbps*1e9), issue)
 	}
@@ -658,7 +435,7 @@ func (ctx *runctx) runSwitched() {
 		seq := uint64(ctx.sent)
 		size := ctx.cfg.ReqSize
 		pkt := &nic.Packet{Seq: seq, Size: size, SentAt: eng.Now(), Span: uint32(ctx.openRequest())}
-		ctx.noteInject(seq, size)
+		ctx.inject(seq, size)
 		ctx.tb.Wire.SendToServer(pkt, func(p *nic.Packet) {
 			root := obs.SpanID(p.Span)
 			// Hardware datapath: eSwitch forwards at line rate.
@@ -669,7 +446,7 @@ func (ctx *runctx) runSwitched() {
 				ctx.tb.Wire.SendToClient(resp, func(q *nic.Packet) {
 					ctx.stage(root, spanReturn, txAt, eng.Now())
 					ctx.closeRequest(root)
-					ctx.noteComplete(seq, size)
+					ctx.complete(seq, size)
 					ctx.record(eng.Now().Sub(q.SentAt), size)
 				})
 			})
@@ -683,52 +460,6 @@ func (ctx *runctx) runSwitched() {
 	}
 	eng.At(0, submit)
 	eng.Run()
-}
-
-// ---- Results ----
-
-func (ctx *runctx) measurement() Measurement {
-	m := Measurement{
-		Function:    ctx.cfg.Function,
-		Variant:     ctx.cfg.Variant,
-		Platform:    ctx.plat,
-		OfferedGbps: ctx.opts.OfferedGbps,
-		Latency:     ctx.hist.Summarize(),
-		HostUtil:    ctx.tb.HostPool.Utilization(),
-		EngineUtil:  ctx.tb.engineUtil,
-	}
-	if ctx.plat == SNICAccel {
-		m.SNICUtil = ctx.tb.StagingPool.Utilization()
-	} else {
-		m.SNICUtil = ctx.tb.SNICPool.Utilization()
-	}
-	if ctx.meter != nil {
-		closeAt := ctx.tb.Eng.Now()
-		if ctx.lastSend > 0 && ctx.lastSend < closeAt {
-			closeAt = ctx.lastSend
-		}
-		ctx.meter.Close(closeAt)
-		m.Ops = ctx.meter.Ops()
-		m.TputOps = ctx.meter.OpsPerSec()
-		m.TputGbps = ctx.meter.Gbps()
-	}
-	if ctx.opts.OfferedGbps > 0 {
-		// Sustainability signal: achieved data rate over offered. In an
-		// overloaded open-loop run the drain tail stretches the meter
-		// window, so achieved ≈ service capacity < offered.
-		m.DeliveredFrac = m.TputGbps / ctx.opts.OfferedGbps
-	} else {
-		m.DeliveredFrac = 1
-	}
-	// Average power from the calibrated model over run-average
-	// utilizations (the signals are cumulative).
-	m.ServerPowerW = float64(ctx.tb.Power.Server.Power())
-	m.SNICPowerW = float64(ctx.tb.Power.SNIC.Power())
-	if m.ServerPowerW > 0 {
-		m.EffOpsPerJoule = m.TputOps / m.ServerPowerW
-		m.EffBitsPerJoule = m.TputGbps * 1e9 / m.ServerPowerW
-	}
-	return m
 }
 
 // ---- Max-throughput search ----
@@ -837,7 +568,7 @@ func (r *Runner) estimateCapacityGbps(cfg *Config, plat Platform) float64 {
 	}
 
 	if plat == SNICAccel {
-		engineBits := r.engineRateBits(tb, cfg)
+		engineBits := tb.engineRateBits(cfg.Engine, cfg.PKAAlgo, cfg.LocalOpBytes)
 		spec := tb.SNICSpec
 		stageCycles := netstack.ByKind(cfg.Stack).RxCycles(spec.Arch, meanReq) +
 			accel.StagingCyclesPerTask + accel.StagingCyclesPerByte*float64(meanReq) + 100
@@ -867,28 +598,12 @@ func (r *Runner) estimateCapacityGbps(cfg *Config, plat Platform) float64 {
 	return math.Min(gbps, lineGbps)
 }
 
-// engineRateBits returns the config's engine rate with a batching margin.
-func (r *Runner) engineRateBits(tb *Testbed, cfg *Config) float64 {
-	switch cfg.Engine {
-	case EngineREM:
-		return tb.REM.RateBits * 0.75
-	case EngineDeflate:
-		return tb.Deflate.RateBits * 0.9
-	case EnginePKABulk:
-		return tb.PKA.BulkRateBits[cfg.PKAAlgo] * 0.95
-	case EnginePKAOp:
-		return tb.PKA.OpRate[cfg.PKAAlgo] * float64(cfg.LocalOpBytes) * 8
-	default:
-		return 30e9
-	}
-}
-
 // estimateLocalGbps predicts closed-loop local throughput from the
 // rate-based model (the crypto/compression entries).
 func (r *Runner) estimateLocalGbps(tb *Testbed, cfg *Config, plat Platform) float64 {
 	switch plat {
 	case SNICAccel:
-		return r.engineRateBits(tb, cfg) / 1e9
+		return tb.engineRateBits(cfg.Engine, cfg.PKAAlgo, cfg.LocalOpBytes) / 1e9
 	case HostCPU:
 		if cfg.HostRateOps > 0 {
 			return cfg.HostRateOps * float64(cfg.LocalOpBytes) * 8 / 1e9

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/invariant"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // Telemetry wiring. A Runner with a non-nil Telemetry collector gives
@@ -93,51 +92,4 @@ func instrumentTestbed(tb *Testbed, rec *obs.Recorder, chk *invariant.Checker) {
 	rec.Gauge("power/snic", "W", tb.YoctoWatt.Period, func() float64 { return float64(tb.YoctoWatt.Reading()) })
 
 	rec.StartSampler(tb.Eng)
-}
-
-// finishRecorder stamps end-of-run counters and hands the recorder to
-// the collector. Nil-safe.
-func (r *Runner) finishRecorder(ctx *runctx) {
-	r.Prof.NoteEngine(ctx.tb.Eng)
-	rec := ctx.rec
-	if rec == nil {
-		return
-	}
-	rec.SetCount("requests.sent", float64(ctx.sent))
-	rec.SetCount("requests.completed", float64(ctx.done))
-	rec.SetCount("pool.shed", float64(ctx.pool.Dropped()))
-	rec.SetCount("wire.lost", float64(ctx.tb.Wire.Lost()))
-	r.Telemetry.Attach(rec)
-}
-
-// openRequest opens a request root span at the current virtual time.
-// Returns 0 (untraced) when telemetry is off.
-//
-//snicvet:hotpath
-func (ctx *runctx) openRequest() obs.SpanID {
-	if ctx.rec == nil {
-		return 0
-	}
-	return ctx.rec.Open(obs.TrackRequests, spanRequest, ctx.tb.Eng.Now())
-}
-
-// stage records one stage child span of a request. root==0 (telemetry
-// off, or an untraced packet) makes this a no-op.
-//
-//snicvet:hotpath
-func (ctx *runctx) stage(root obs.SpanID, name string, start, end sim.Time) {
-	if root == 0 {
-		return
-	}
-	ctx.rec.Span(obs.TrackRequests, name, root, start, end)
-}
-
-// closeRequest ends a request root span at the current virtual time.
-//
-//snicvet:hotpath
-func (ctx *runctx) closeRequest(root obs.SpanID) {
-	if root == 0 {
-		return
-	}
-	ctx.rec.Close(root, ctx.tb.Eng.Now())
 }

@@ -13,6 +13,8 @@ import (
 // subsumes them: Execute validates it with typed errors and dispatches
 // to the same memoized implementations the legacy methods use, so the
 // legacy methods are now thin adapters and their results byte-identical.
+// Point (net-served), replay, server and pipeline workloads share one
+// executor underneath, the net-serve kernel of pipelinerun.go.
 
 // WorkloadKind selects a run family.
 type WorkloadKind string
@@ -140,21 +142,15 @@ func (w *Workload) Validate() error {
 			return fail("Platform", fmt.Sprintf("%s does not run on %s", w.Config.Name(), w.Platform))
 		}
 	case WorkloadReplay:
-		if w.Config == nil {
-			return fail("Config", "must be set")
-		}
-		if !w.Config.HasPlatform(w.Platform) {
-			return fail("Platform", fmt.Sprintf("%s does not run on %s", w.Config.Name(), w.Platform))
+		if err := w.validReplayConfig(); err != nil {
+			return err
 		}
 		if err := validTrace(w.Kind, w.Trace); err != nil {
 			return err
 		}
 	case WorkloadServer:
-		if w.Config == nil {
-			return fail("Config", "must be set")
-		}
-		if !w.Config.HasPlatform(w.Platform) {
-			return fail("Platform", fmt.Sprintf("%s does not run on %s", w.Config.Name(), w.Platform))
+		if err := w.validReplayConfig(); err != nil {
+			return err
 		}
 		if len(w.Rates) == 0 {
 			return fail("Rates", "must have at least one interval")
@@ -219,6 +215,25 @@ func (w *Workload) Validate() error {
 		}
 	default:
 		return fail("Kind", fmt.Sprintf("unknown kind %q", w.Kind))
+	}
+	return nil
+}
+
+// validReplayConfig checks a replay's config: rate-series replays run
+// wire traffic through the net-serve kernel, so the config must be
+// net-served and run on the platform.
+func (w *Workload) validReplayConfig() error {
+	fail := func(field, reason string) error {
+		return &WorkloadError{Kind: w.Kind, Field: field, Reason: reason}
+	}
+	if w.Config == nil {
+		return fail("Config", "must be set")
+	}
+	if w.Config.Mode != ModeNetServe {
+		return fail("Config", fmt.Sprintf("%s is a %s config; replays need a net-served one", w.Config.Name(), w.Config.Mode))
+	}
+	if !w.Config.HasPlatform(w.Platform) {
+		return fail("Platform", fmt.Sprintf("%s does not run on %s", w.Config.Name(), w.Platform))
 	}
 	return nil
 }

@@ -68,6 +68,10 @@ func TestWorkloadValidateTypedErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = accel
+	local, err := Lookup("crypto", "aes")
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name  string
 		w     Workload
@@ -82,6 +86,10 @@ func TestWorkloadValidateTypedErrors(t *testing.T) {
 			Opts: RunOpts{WarmupFrac: 1}}, "Opts.WarmupFrac"},
 		{"negative cores", Workload{Kind: WorkloadBalanced, HostCores: -2}, "HostCores"},
 		{"replay no trace", Workload{Kind: WorkloadReplay, Config: cfg, Platform: HostCPU}, "Trace"},
+		{"replay local config", Workload{Kind: WorkloadReplay, Config: local, Platform: HostCPU,
+			Trace: BurstyTrace(1, 2, 4, 2, sim.Millisecond)}, "Config"},
+		{"server local config", Workload{Kind: WorkloadServer, Config: local, Platform: HostCPU,
+			Rates: []float64{1}, Interval: sim.Millisecond}, "Config"},
 		{"server no rates", Workload{Kind: WorkloadServer, Config: cfg, Platform: HostCPU,
 			Interval: sim.Millisecond}, "Rates"},
 		{"server negative rate", Workload{Kind: WorkloadServer, Config: cfg, Platform: HostCPU,
@@ -159,5 +167,46 @@ func TestTable4ConfigValidate(t *testing.T) {
 	tc.HostCores = -1
 	if !errors.As(tc.Validate(), &pe) || pe.Param != "HostCores" {
 		t.Fatalf("negative host cores should fail: %v", tc.Validate())
+	}
+}
+
+// Every run family counts toward Sims and the self-profile alike: the
+// shared end-of-run finisher is the only place either is bumped, so one
+// simulation of each family moves both by exactly one.
+func TestEveryFamilyCountsTowardSimsAndProfile(t *testing.T) {
+	r := NewRunner()
+	prof := NewProfiler()
+	r.SetProfiler(prof)
+	cfg, err := Lookup("rem", "file_executable")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := BurstyTrace(3, 20, 6, 3, sim.Millisecond)
+	pipe := PipelineFromConfig(cfg, SNICAccel)
+	offload := shortOffloadSpec()
+	workloads := []Workload{
+		{Kind: WorkloadPoint, Config: cfg, Platform: HostCPU,
+			Opts: RunOpts{Requests: 800, WarmupFrac: 0.1, Seed: 2, OfferedGbps: 2}},
+		{Kind: WorkloadReplay, Config: cfg, Platform: SNICAccel, Trace: tr, Seed: 3},
+		{Kind: WorkloadServer, Config: cfg, Platform: HostCPU, Rates: tr.RatesGbps,
+			Interval: tr.Interval, Seed: 4, Group: "sims"},
+		{Kind: WorkloadBalanced, Balancer: &LoadBalancer{SpillQueueThreshold: 96, HWAssist: true},
+			Trace: tr, HostCores: 2, Seed: 5},
+		{Kind: WorkloadFaulted, Scenario: &FaultScenario{Name: "baseline"}, Router: testRouter(),
+			Trace: tr, HostCores: 2, Seed: 6},
+		{Kind: WorkloadPipeline, Pipeline: pipe, Opts: RunOpts{Requests: 800, Seed: 7, OfferedGbps: 4}},
+		{Kind: WorkloadOffload, Offload: &offload},
+	}
+	for i, w := range workloads {
+		if _, err := r.Execute(w); err != nil {
+			t.Fatalf("%s: %v", w.Kind, err)
+		}
+		want := uint64(i + 1)
+		if got := r.Sims(); got != want {
+			t.Fatalf("after %s: Sims() = %d, want %d", w.Kind, got, want)
+		}
+		if got := prof.Snapshot().Runs; got != want {
+			t.Fatalf("after %s: profiler runs = %d, want %d", w.Kind, got, want)
+		}
 	}
 }

@@ -157,8 +157,12 @@ func (c *Config) validate() error {
 		return fmt.Errorf("fleet: need a non-empty trace")
 	}
 	fn, variant := c.function()
-	if _, err := core.Lookup(fn, variant); err != nil {
+	wl, err := core.Lookup(fn, variant)
+	if err != nil {
 		return fmt.Errorf("fleet: %v", err)
+	}
+	if wl.Mode != core.ModeNetServe {
+		return fmt.Errorf("fleet: %s is a %s workload; fleet servers replay net-served traffic", wl.Name(), wl.Mode)
 	}
 	n := c.Servers()
 	for _, o := range c.Outages {
